@@ -7,8 +7,9 @@ A :class:`telemetry_run` session activates a
 snapshots everything into one *run manifest* — schema version, run id,
 command, caller-supplied config, host facts, ``repro.__version__``,
 elapsed wall seconds, per-phase totals (driver *and* merged worker
-time), the hierarchical span aggregates, per-worker utilisation and the
-metric snapshot — appended as a single JSON line to
+time), the hierarchical span aggregates, per-worker utilisation, the
+metric snapshot and any run warnings (an armed fault plan that injected
+nothing) — appended as a single JSON line to
 ``<telemetry_dir>/manifests.jsonl``.
 
 Sessions *suppress nesting*: ``run_sweep`` delegates to ``run_jobs``,
@@ -141,10 +142,13 @@ class TelemetryHandle:
 
     # ------------------------------------------------------------------ #
     def build_manifest(self, elapsed_s: float, started_at: float) -> dict:
+        # Deferred: the runtime builds on obs, not the other way round.
+        from repro.runtime.faultinject import dead_plan_warnings
         global _RUN_SEQUENCE
         _RUN_SEQUENCE += 1
         assert self.tracer is not None and self.metrics is not None
         snapshot = self.tracer.snapshot()
+        metrics = self.metrics.snapshot()
         attributed = self.tracer.attributed_wall_s()
         # Attribution counts real compute (top-level phases, driver and
         # merged workers); "accounted" adds the driver's blocked-on-
@@ -165,7 +169,8 @@ class TelemetryHandle:
             "phases": snapshot["phases"],
             "spans": snapshot["spans"],
             "workers": snapshot["workers"],
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
+            "warnings": dead_plan_warnings(metrics["counters"]),
             "attributed_s": attributed,
             "attributed_fraction": (attributed / elapsed_s
                                     if elapsed_s > 0 else 0.0),

@@ -4,8 +4,9 @@ Reads the run manifests a telemetry directory accumulated
 (``manifests.jsonl``, one JSON line per observed run — see
 :mod:`repro.obs.manifest`) and renders the questions an operator
 actually asks: where does the time go (slowest phases across runs), is
-the result cache earning its keep (hit-rate trend run over run), and
-are the multiprocess workers busy or starved (per-worker utilisation)?
+the result cache earning its keep (hit-rate trend run over run), are
+the multiprocess workers busy or starved (per-worker utilisation), and
+what failed (faults, retries, pool rebuilds, dead fault plans)?
 
 ``--cache-dir`` additionally inspects a result/synthesis cache
 directory through :meth:`repro.runtime.store.ResultStore.entry_inventory`
@@ -112,6 +113,26 @@ def worker_summary(manifests: List[dict]) -> List[dict]:
     return rows
 
 
+#: Run-manifest counters of the failure-handling summary.
+FAILURE_COUNTERS = ("faults.injected", "tasks.retried", "pool.rebuilds",
+                    "backend.degraded")
+
+
+def failure_summary(manifests: List[dict]) -> dict:
+    """Failure-handling counters summed across runs, plus run warnings."""
+    counters = dict.fromkeys(FAILURE_COUNTERS, 0)
+    warnings: List[dict] = []
+    for manifest in manifests:
+        recorded = manifest.get("metrics", {}).get("counters", {})
+        for name in FAILURE_COUNTERS:
+            counters[name] += recorded.get(name, 0)
+        warnings.extend({"run_id": manifest.get("run_id", "?"),
+                         "command": manifest.get("command", "?"),
+                         "warning": warning}
+                        for warning in manifest.get("warnings", []))
+    return {"counters": counters, "warnings": warnings}
+
+
 def summarize_telemetry(directory, top: int = 10) -> dict:
     """The full JSON-ready summary of one telemetry directory."""
     manifests = load_manifests(directory)
@@ -127,6 +148,7 @@ def summarize_telemetry(directory, top: int = 10) -> dict:
         "phases": phase_summary(manifests)[:top] if top > 0 else phase_summary(manifests),
         "cache_trend": cache_trend(manifests),
         "workers": worker_summary(manifests),
+        "failures": failure_summary(manifests),
     }
 
 
@@ -163,6 +185,15 @@ def render_telemetry(summary: dict, top: int) -> str:
             title="Worker utilisation (latest multiprocess runs)"))
     if summary["runs"] and not summary["workers"]:
         sections.append("(no multiprocess worker records — every run was serial)")
+    if summary["runs"]:
+        failures = summary["failures"]
+        lines = [format_table(
+            list(FAILURE_COUNTERS),
+            [tuple(failures["counters"][name] for name in FAILURE_COUNTERS)],
+            title="Failure handling across runs")]
+        lines.extend(f"warning ({entry['command']} {entry['run_id']}): "
+                     f"{entry['warning']}" for entry in failures["warnings"])
+        sections.append("\n".join(lines))
     return "\n\n".join(sections)
 
 

@@ -7,9 +7,13 @@ a :class:`Backend`:
 
 * ``serial`` executes jobs in-process (the reference behaviour),
 * ``multiprocess`` fans independent jobs *and* independent word-aligned
-  trace chunks out across worker processes, with per-worker caching of
+  trace chunks out across worker processes, with per-process caching of
   synthesized designs and compiled programs, merging chunks in trace
   order so results are bit-identical to serial at any worker count.
+
+Each backend schedules everything through one dispatch method,
+:meth:`Backend.run_calls`, which is also where retries, pool recovery
+and fault-plan decisions (:mod:`repro.runtime.faultinject`) happen.
 
 The experiment drivers (`repro.experiments`), the dataset assembly
 (`repro.ml.dataset`), the ``repro-experiments`` CLI and the throughput
@@ -40,7 +44,6 @@ from repro.runtime.backends import (
     SerialBackend,
     Task,
     TimingChunkTask,
-    execute_tasks,
     get_backend,
     run_jobs,
 )
@@ -78,7 +81,7 @@ from repro.runtime.resilience import (
     TIMEOUT_ENV,
     RetryPolicy,
     deterministic_jitter,
-    retry_call,
+    retry_calls,
 )
 from repro.runtime.synth_cache import (
     SynthesisCache,
@@ -119,14 +122,13 @@ __all__ = [
     "execute_group",
     "synth_digest",
     "execute_job",
-    "execute_tasks",
     "fault_point",
     "get_backend",
     "job_digest",
     "merge_timing_chunks",
     "parse_fault_plan",
     "reset_fault_plan",
-    "retry_call",
+    "retry_calls",
     "run_jobs",
     "synthesize_entry",
     "synthesize_job",

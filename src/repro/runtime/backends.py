@@ -1,35 +1,44 @@
 """Pluggable execution backends for characterization jobs.
 
+Every backend has one dispatch point, :meth:`Backend.run_calls`: it
+executes a batch of ``(function, args, key)`` calls and returns their
+results in call order.  Whole jobs (:meth:`~Backend.run`), golden and
+timing-chunk tasks (:meth:`~Backend.run_tasks`) and the execution
+planner's group calls (:mod:`repro.runtime.plan`) all become calls of
+the module-level task functions below, which run unchanged in the
+driver and in worker processes and share one bounded per-process
+simulator cache.  ``run_calls`` is also where task faults are decided:
+each submission of a call is one fault-plan event in the driver
+(:func:`~repro.runtime.faultinject.dispatch`).
+
 ``serial``
-    Executes jobs one after the other in the calling process — the
-    reference behaviour, identical to calling
-    :func:`~repro.runtime.jobs.execute_job` in a loop.
+    Executes the calls in the calling process
+    (:func:`~repro.runtime.resilience.retry_calls`) — the reference
+    behaviour.
 
 ``multiprocess``
-    Fans jobs out across worker processes with
-    :class:`concurrent.futures.ProcessPoolExecutor`.  Each job is split
-    into one *golden* task (synthesis cross-check, diamond/golden words,
-    structural statistics) plus one timing task per word-aligned trace
-    chunk (see :func:`repro.circuit.compiled.transition_chunks`), so a
-    single large job parallelises as well as a batch of small ones.
-    Workers cache the synthesized design, its compiled programs and the
-    simulator per :meth:`CharacterizationJob.cache_key`, so lowering
-    happens once per process no matter how many chunks it executes.
-    Chunks are merged strictly in trace order, and both simulator tiers
-    are transition-local, so results are **bit-identical to the serial
+    Fans the calls out across worker processes with
+    :class:`concurrent.futures.ProcessPoolExecutor`.  Each job of a
+    small batch is split into one *golden* task (synthesis cross-check,
+    diamond/golden words, structural statistics) plus one timing task
+    per word-aligned trace chunk (see
+    :func:`repro.circuit.compiled.transition_chunks`), so a single large
+    job parallelises as well as a batch of small ones.  Chunks are
+    merged strictly in trace order, and both simulator tiers are
+    transition-local, so results are **bit-identical to the serial
     backend at any worker count**.
 
 Backends raise whatever the job execution raises (e.g. the golden-model
 cross-check failure) — scheduling does not swallow errors.  *Transient*
 failures, however, are survived rather than raised: both backends retry
-individual tasks under a :class:`~repro.runtime.resilience.RetryPolicy`
+individual calls under a :class:`~repro.runtime.resilience.RetryPolicy`
 (safe because every task is deterministic and transition-local, so a
 retried task is bit-identical by construction), and the multiprocess
 backend recovers from a broken pool by rebuilding its executor and
-re-dispatching only the tasks whose futures did not complete — after
+re-dispatching only the calls whose futures did not complete — after
 ``max_rebuilds`` consecutive rebuilds without progress it degrades to
-in-process execution with a :class:`RuntimeWarning` instead of failing
-the batch.
+the serial loop with a :class:`RuntimeWarning` instead of failing the
+batch.
 """
 
 from __future__ import annotations
@@ -50,12 +59,12 @@ from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
 from repro.obs.metrics import metric_count
 from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
-from repro.runtime.faultinject import POINT_TASK, fault_point, reset_fault_plan
-from repro.runtime.resilience import RetryPolicy, retry_call
+from repro.runtime.faultinject import dispatch
+from repro.runtime.resilience import RetryPolicy, retry_calls
 from repro.runtime.jobs import (
     CharacterizationJob,
     DesignCharacterization,
-    build_simulator,
+    cached_simulator,
     execute_job,
     golden_reference,
     merge_timing_chunks,
@@ -103,48 +112,66 @@ class TimingChunkTask:
 Task = Union[GoldenTask, TimingChunkTask]
 
 
-def execute_tasks(tasks: Sequence[Task],
-                  designs: Optional[Dict[tuple, object]] = None,
-                  simulators: Optional[Dict[tuple, object]] = None) -> List[object]:
-    """Execute sub-job tasks in the calling process, in order.
+#: One schedulable call: ``(function, args, key)``.  The key names the
+#: call in retry backoff, timeouts and fault plans, and carries the
+#: design name.
+Call = Tuple[Callable, tuple, str]
 
-    ``designs`` / ``simulators`` are per-``cache_key`` reuse maps (the
-    same sharing the serial backend applies to whole jobs); passing
-    dicts in lets a caller keep them warm across batches.
+
+# --------------------------------------------------------------------- #
+# Task functions: what every call runs, in the driver or in a worker
+# --------------------------------------------------------------------- #
+def _golden_task(job: CharacterizationJob):
+    """Synthesize (memoised) and compute the golden references."""
+    synthesized = synthesize_job(job)
+    return (synthesized,) + golden_reference(job, synthesized)
+
+
+def _timing_chunk_task(chunk_job: CharacterizationJob):
+    """Simulate one trace chunk (the job's trace is the slice)."""
+    return run_timing(chunk_job, cached_simulator(chunk_job, synthesize_job(chunk_job)))
+
+
+def _whole_job_task(job: CharacterizationJob) -> DesignCharacterization:
+    """One complete job, through the per-process design/simulator caches.
+
+    The trace is stripped from the result — a worker's result is pickled
+    back, and the caller already holds the trace on the job and
+    restores it on receipt.
     """
-    designs = designs if designs is not None else {}
-    simulators = simulators if simulators is not None else {}
-    results: List[object] = []
-    for task in tasks:
-        job = task.job
-        key = job.cache_key()
-        synthesized = designs.get(key)
-        if synthesized is None:
-            synthesized = designs[key] = synthesize_job(job)
-        if isinstance(task, GoldenTask):
-            results.append((synthesized,) + golden_reference(job, synthesized))
-            continue
-        # Simulators are clock-specialised, so their reuse key carries
-        # the clock plan on top of the design identity.
-        simulator_key = (key, job.clock_periods)
-        simulator = simulators.get(simulator_key)
-        if simulator is None:
-            simulator = simulators[simulator_key] = build_simulator(
-                job.simulator, synthesized, engine=job.engine,
-                clock_periods=job.clock_periods)
-        results.append(run_timing(job, simulator))
+    synthesized = synthesize_job(job)
+    result = execute_job(job, synthesized=synthesized,
+                         simulator=cached_simulator(job, synthesized))
+    result.trace = None
+    return result
+
+
+def _job_calls(jobs: Sequence[CharacterizationJob]) -> List[Call]:
+    return [(_whole_job_task, (job,), f"{job.name}:{index}")
+            for index, job in enumerate(jobs)]
+
+
+def _task_calls(tasks: Sequence[Task]) -> List[Call]:
+    return [(_golden_task if isinstance(task, GoldenTask) else _timing_chunk_task,
+             (task.job,), f"{task.job.name}:{index}")
+            for index, task in enumerate(tasks)]
+
+
+def _restore_traces(jobs: Sequence[CharacterizationJob],
+                    results: List[DesignCharacterization]) -> List[DesignCharacterization]:
+    for job, result in zip(jobs, results):
+        result.trace = job.trace
     return results
 
 
 class Backend:
-    """Interface of an execution backend: run a batch of jobs in order.
+    """Interface of an execution backend: run a batch of calls in order.
 
-    Besides whole jobs, every backend also schedules *sub-job tasks*
-    (:class:`GoldenTask` / :class:`TimingChunkTask`) through
-    :meth:`run_tasks` — the granularity the result cache's sharded path
-    and the execution planner use.  The base implementation executes
-    tasks serially in the calling process; concrete backends override it
-    with their own scheduling.
+    :meth:`run_calls` is the one dispatch point; :meth:`run` (whole
+    jobs) and :meth:`run_tasks` (sub-job :class:`GoldenTask` /
+    :class:`TimingChunkTask` units — the granularity the result cache's
+    sharded path and the execution planner use) build their calls and
+    hand them to it.
     """
 
     name = "abstract"
@@ -154,13 +181,30 @@ class Backend:
     #: ``REPRO_TASK_TIMEOUT``) unless one is passed in.
     retry_policy: RetryPolicy = RetryPolicy()
 
+    #: Calls run in parallel (the planner splits groups to fill them).
+    workers: int = 1
+
+    #: Whether :meth:`run_calls` runs calls in the calling process, so
+    #: arguments never cross a process boundary.
+    in_process: bool = True
+
+    def run_calls(self, calls: Sequence[Call],
+                  interleave: Optional[Callable[[], None]] = None) -> List[object]:
+        """Execute ``(function, args, key)`` calls; results in call order.
+
+        ``interleave`` is invoked once, after the first round of calls
+        has been dispatched — the planner's hook for running its
+        pass-through batch alongside its group calls.
+        """
+        raise NotImplementedError
+
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
         """Execute ``jobs`` and return their results in submission order."""
         raise NotImplementedError
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
         """Execute sub-job tasks and return their results in order."""
-        return execute_tasks(tasks)
+        raise NotImplementedError
 
     def describe(self) -> str:
         """Short human-readable backend description (recorded in reports)."""
@@ -169,22 +213,15 @@ class Backend:
     def close(self) -> None:
         """Release held resources (worker pools); idempotent, no-op by default."""
 
-    def drain_telemetry(self) -> None:
-        """Merge any worker-side telemetry spills; no-op for in-process backends."""
-
 
 class SerialBackend(Backend):
-    """Run every job in the calling process, one after the other.
+    """Run every call in the calling process, one after the other.
 
-    Like the multiprocess workers, a batch shares one synthesized design
-    and one simulator per :meth:`CharacterizationJob.cache_key`, so a
+    Calls share the process-wide design memo and simulator cache, so a
     study submitting several traces of the same design (e.g. the
     prediction study's training + evaluation pair) lowers it only once.
-
-    Each job runs under the backend's :class:`RetryPolicy`: transient
-    failures are retried in place, and — since an in-process task cannot
-    be preempted — the per-task timeout is enforced post-hoc (an attempt
-    finishing over budget counts as a retryable timeout).
+    Each call runs under the backend's :class:`RetryPolicy`
+    (:func:`~repro.runtime.resilience.retry_calls`).
     """
 
     name = "serial"
@@ -193,93 +230,17 @@ class SerialBackend(Backend):
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy.from_env())
 
+    def run_calls(self, calls: Sequence[Call],
+                  interleave: Optional[Callable[[], None]] = None) -> List[object]:
+        return retry_calls(self.retry_policy, calls, interleave)
+
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
+        jobs = list(jobs)
         metric_count("jobs.simulated", len(jobs))
-        simulators: Dict[tuple, object] = {}
-        results: List[DesignCharacterization] = []
-        for index, job in enumerate(jobs):
-            def body(job=job):
-                fault_point(POINT_TASK, job.name)
-                # synthesize_job memoises process-wide (and reads through
-                # the persistent synthesis cache), so a batch shares one
-                # design per synthesis identity without a batch-local dict.
-                synthesized = synthesize_job(job)
-                simulator_key = (job.cache_key(), job.clock_periods)
-                if simulator_key not in simulators:
-                    simulators[simulator_key] = build_simulator(
-                        job.simulator, synthesized, engine=job.engine,
-                        clock_periods=job.clock_periods)
-                return execute_job(job, synthesized=synthesized,
-                                   simulator=simulators[simulator_key])
-            results.append(retry_call(self.retry_policy,
-                                      f"{job.name}:{index}", body))
-        return results
+        return _restore_traces(jobs, self.run_calls(_job_calls(jobs)))
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
-        designs: Dict[tuple, object] = {}
-        simulators: Dict[tuple, object] = {}
-        results: List[object] = []
-        for index, task in enumerate(tasks):
-            def body(task=task):
-                fault_point(POINT_TASK, task.job.name)
-                return execute_tasks([task], designs, simulators)[0]
-            results.append(retry_call(self.retry_policy,
-                                      f"{task.job.name}:{index}", body))
-        return results
-
-
-# --------------------------------------------------------------------- #
-# Worker-side machinery of the multiprocess backend
-# --------------------------------------------------------------------- #
-#: Per-process simulator cache by (job cache key, clock plan).  The
-#: design-side cache lives in :func:`repro.runtime.jobs.synthesize_job`
-#: (the read-through path of the persistent synthesis cache), so
-#: lowering happens once per worker process and design, no matter how
-#: many trace chunks the worker executes.
-_SIMULATOR_CACHE: Dict[tuple, object] = {}
-
-
-def _cached_design(job: CharacterizationJob):
-    return synthesize_job(job)
-
-
-def _cached_simulator(job: CharacterizationJob):
-    # Clock plan in the key: simulators are specialised to the periods
-    # the job samples, so two plans over one design need two programs.
-    key = (job.cache_key(), job.clock_periods)
-    simulator = _SIMULATOR_CACHE.get(key)
-    if simulator is None:
-        simulator = _SIMULATOR_CACHE[key] = build_simulator(
-            job.simulator, _cached_design(job), engine=job.engine,
-            clock_periods=job.clock_periods)
-    return simulator
-
-
-def _golden_task(job: CharacterizationJob):
-    """Worker task: synthesize (cached) and compute the golden references."""
-    fault_point(POINT_TASK, job.name)
-    synthesized = _cached_design(job)
-    diamond, gold, stats, netlist_words = golden_reference(job, synthesized)
-    return synthesized, diamond, gold, stats, netlist_words
-
-
-def _timing_chunk_task(chunk_job: CharacterizationJob):
-    """Worker task: simulate one trace chunk (the job's trace is the slice)."""
-    fault_point(POINT_TASK, chunk_job.name)
-    return run_timing(chunk_job, _cached_simulator(chunk_job))
-
-
-def _whole_job_task(job: CharacterizationJob) -> DesignCharacterization:
-    """Worker task: one complete job, with the worker's design/simulator cache.
-
-    The trace is stripped from the result before it is pickled back —
-    the parent already holds it on the job and restores it on receipt.
-    """
-    fault_point(POINT_TASK, job.name)
-    result = execute_job(job, synthesized=_cached_design(job),
-                         simulator=_cached_simulator(job))
-    result.trace = None
-    return result
+        return self.run_calls(_task_calls(tasks))
 
 
 @dataclass
@@ -316,12 +277,13 @@ class MultiprocessBackend(Backend):
         ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
     max_rebuilds:
         Consecutive pool rebuilds without a single completed task before
-        the backend degrades to in-process execution (with a
+        the backend degrades to the in-process serial loop (with a
         :class:`RuntimeWarning`) instead of thrashing a pool whose
         workers die on every task.
     """
 
     name = "multiprocess"
+    in_process = False
 
     def __init__(self, workers: Optional[int] = None,
                  chunk_transitions: Optional[int] = None,
@@ -366,17 +328,6 @@ class MultiprocessBackend(Backend):
     # created lazily and torn down by close() (or by the executor's own
     # manager thread once the backend is garbage-collected).
     # ------------------------------------------------------------------ #
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Workers drop any fault-plan instance inherited via fork:
-            # fault event counters are per-process by contract, and an
-            # inherited driver counter would otherwise let a plan like
-            # "kill every 40th task" kill every fresh worker on its
-            # first task.
-            self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             initializer=reset_fault_plan)
-        return self._pool
-
     def close(self) -> None:
         """Shut the worker pool down (idempotent).
 
@@ -407,24 +358,19 @@ class MultiprocessBackend(Backend):
         per_worker = -(-transitions // self.workers)
         return max(WORD_BITS, -(-per_worker // WORD_BITS) * WORD_BITS)
 
-    def submit(self, function: Callable, *args):
-        """Submit one callable to the worker pool (a raw future).
+    def _submit(self, function: Callable, *args):
+        """Submit one call to the pool (created lazily) as a raw future.
 
-        Callers own the future; most should schedule through
-        :meth:`run_calls` instead, which layers retries, pool recovery
-        and re-dispatch on top of raw submission.
-
-        When telemetry is active in the submitting context, the task is
-        wrapped so the worker records its own spans/metrics and spills
-        them for :meth:`drain_telemetry` to merge — callers get worker
-        attribution for free.
+        Under active telemetry the worker records its own spans/metrics
+        and spills them for :meth:`drain_telemetry` to merge.
         """
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         if telemetry_active():
             if self._spill_dir is None:
                 self._spill_dir = tempfile.mkdtemp(prefix="repro-obs-spill-")
-            return self._executor().submit(spilled_call, self._spill_dir,
-                                           function, *args)
-        return self._executor().submit(function, *args)
+            return self._pool.submit(spilled_call, self._spill_dir, function, *args)
+        return self._pool.submit(function, *args)
 
     def drain_telemetry(self) -> None:
         """Merge completed workers' spilled spans/metrics into ambient state."""
@@ -463,13 +409,13 @@ class MultiprocessBackend(Backend):
                 f"{self._rebuilds_without_progress} consecutive pool rebuilds "
                 f"without progress", RuntimeWarning, stacklevel=3)
 
-    def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]],
+    def run_calls(self, calls: Sequence[Call],
                   interleave: Optional[Callable[[], None]] = None) -> List[object]:
-        """Resiliently execute ``(function, args, key)`` callables in order.
+        """Resiliently execute ``(function, args, key)`` calls on the pool.
 
-        The scheduling substrate under :meth:`run` / :meth:`run_tasks`
-        and the planner's group tasks.  Per round: every outstanding
-        call is submitted, then the driver waits for completions —
+        Per round: every outstanding call is submitted in call order
+        (each submission one fault-plan event, decided in the driver),
+        then the driver waits for completions —
 
         * a transient task failure is retried (with the policy's
           deterministic backoff) up to ``max_attempts``; the original
@@ -484,11 +430,10 @@ class MultiprocessBackend(Backend):
           stuck task exhausts its budget with a
           :class:`TaskTimeoutError` instead of re-dispatching forever;
         * after ``max_rebuilds`` consecutive rebuilds without progress
-          the backend degrades to in-process execution (warned once).
+          the backend degrades to the serial loop
+          (:func:`~repro.runtime.resilience.retry_calls`, warned once).
 
-        ``interleave`` is invoked once after the first submission —
-        the planner hook that overlaps pass-through jobs with group
-        tasks on the same pool.
+        Worker telemetry spills are merged before returning.
         """
         policy = self.retry_policy
         pending = [_PendingCall(index, function, args, key)
@@ -497,20 +442,19 @@ class MultiprocessBackend(Backend):
         outstanding = pending
         while outstanding:
             if self._degraded:
-                if interleave is not None:
-                    interleave, hook = None, interleave
-                    hook()
-                for call in outstanding:
-                    results[call.index] = retry_call(
-                        policy, call.key, call.function, *call.args)
-                    call.resolved = True
+                outcomes = retry_calls(
+                    policy, [(call.function, call.args, call.key) for call in outstanding],
+                    interleave)
+                for call, outcome in zip(outstanding, outcomes):
+                    results[call.index] = outcome
                 break
             broken = stalled = progressed = False
             failure: Optional[Tuple[int, Exception]] = None
             unresolved: Dict[object, _PendingCall] = {}
             try:
                 for call in outstanding:
-                    call.future = self.submit(call.function, *call.args)
+                    function, args = dispatch(call.function, call.args, call.key)
+                    call.future = self._submit(function, *args)
                     unresolved[call.future] = call
             except BrokenProcessPool:
                 broken = True
@@ -566,27 +510,16 @@ class MultiprocessBackend(Backend):
                 metric_count("tasks.retried", len(retries))
                 time.sleep(max(policy.delay(call.key, call.attempts)
                                for call in retries))
-                outstanding = retries
-                continue
-            outstanding = []
-        return results
-
-    def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        results = self.run_calls([
-            (_golden_task if isinstance(task, GoldenTask) else _timing_chunk_task,
-             (task.job,), f"{task.job.name}:{index}")
-            for index, task in enumerate(tasks)])
+            # Retries go out in call order, like every round.
+            outstanding = sorted(retries, key=lambda call: call.index)
         self.drain_telemetry()
         return results
 
+    def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
+        return self.run_calls(_task_calls(tasks))
+
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
         jobs = list(jobs)
-        if not jobs:
-            return []
-
         # Scheduling granularity.  A batch with at least one job per
         # worker parallelises best as whole jobs: every design is
         # synthesized exactly once somewhere in the pool.  A small batch
@@ -595,18 +528,10 @@ class MultiprocessBackend(Backend):
         # lowering for intra-job parallelism.  An explicit
         # ``chunk_transitions`` always forces the split (the determinism
         # tests rely on it).  Either way results are bit-identical.
-        split = self.chunk_transitions is not None or len(jobs) < self.workers
         metric_count("jobs.simulated", len(jobs))
-        if not split:
-            results = self.run_calls([
-                (_whole_job_task, (job,), f"{job.name}:{index}")
-                for index, job in enumerate(jobs)])
-            for job, result in zip(jobs, results):
-                result.trace = job.trace
-        else:
-            results = self._run_split(jobs)
-        self.drain_telemetry()
-        return results
+        if self.chunk_transitions is not None or len(jobs) < self.workers:
+            return self._run_split(jobs)
+        return _restore_traces(jobs, self.run_calls(_job_calls(jobs)))
 
     def _run_split(self, jobs: List[CharacterizationJob]) -> List[DesignCharacterization]:
         # Plan: per job, one golden task plus one timing task per chunk.
@@ -618,7 +543,7 @@ class MultiprocessBackend(Backend):
         ]
         # One flat resilient gather: goldens first, then every chunk in
         # job order (the chunk merge below is local compute, not waiting).
-        calls: List[Tuple[Callable, tuple, str]] = [
+        calls: List[Call] = [
             (_golden_task, (job,), f"golden:{job.name}:{index}")
             for index, job in enumerate(jobs)]
         chunk_slices: List[Tuple[int, int]] = []

@@ -1,13 +1,11 @@
 """Deterministic fault injection for resilience tests and chaos CI.
 
 A *fault plan* is a small JSON document naming faults to inject at
-instrumented points of the runtime — worker task entry
-(:data:`POINT_TASK`) and result-store writes (:data:`POINT_STORE_WRITE`
-/ :data:`POINT_STORE_WRITE_DONE`).  The plan is activated through the
+instrumented points of the runtime — task dispatch (:data:`POINT_TASK`)
+and result-store writes (:data:`POINT_STORE_WRITE` /
+:data:`POINT_STORE_WRITE_DONE`).  The plan is activated through the
 ``REPRO_FAULT_PLAN`` environment variable (either the JSON itself or a
-path to a file holding it), so multiprocess workers — which inherit the
-environment — arm the same plan without any explicit plumbing, exactly
-like the synthesis cache (:func:`repro.runtime.synth_cache.active_synth_cache`).
+path to a file holding it).
 
 Plan format::
 
@@ -18,27 +16,30 @@ Plan format::
         {"kind": "store-error", "point": "store.write", "every": 5,
          "match": "chaos-cache"},
         {"kind": "truncate", "point": "store.write.done", "at": 3}
-     ],
-     "state_dir": "/tmp/faults"}
+     ]}
 
-Each fault spec counts the events of its point **per process** and
-fires on the ``at``-th event (once) or on every ``every``-th event;
-``match`` restricts the count to events whose key (job name, store
-path) contains the substring.  ``times`` caps the *global* firings
-across all processes through atomically-claimed token files in
-``state_dir`` (default: a temp directory derived from the plan text, so
-every process of one run shares it).  Everything else is a pure
-function of the plan and the per-process event sequence, which is what
-makes injected failures reproducible: the same plan against the same
-deterministic task stream kills the same worker on the same task.
+Only the driver — the process that dispatches work — arms a plan; pool
+workers never do, not even on their own synthesis-cache writes.  Each
+spec counts the events of its point and falls due on the ``at``-th
+event (once) or on every ``every``-th; ``match`` restricts the count to
+events whose key contains the substring; ``times`` caps the firings.
+
+Task events are counted **at dispatch**: every submission of a call
+through a backend's ``run_calls`` — first dispatch, retry, or
+re-dispatch after a pool rebuild — is one event, in call order, keyed
+by the call key (which carries the design name, so ``match`` selects by
+design).  :func:`dispatch` decides each submission afresh and ships a
+call that falls due together with its faults, so which calls fail is a
+pure function of the plan and the dispatched calls — the same on the
+serial backend and at any worker count.  Store events are counted at
+the write.
 
 Fault kinds
 -----------
 ``kill-worker``
-    ``os._exit(1)`` — but only inside a worker process
-    (:func:`multiprocessing.parent_process` is set); the driver is
-    immune, so a plan armed for a whole test suite can never kill the
-    test runner itself.
+    ``os._exit(1)`` — but only inside a worker process; in the driver
+    the fault is counted and shrugged off, so a plan armed for a whole
+    test suite can never kill the test runner itself.
 ``task-error``
     Raise a transient :class:`OSError` from the task body (retryable).
 ``delay``
@@ -58,14 +59,12 @@ other ``REPRO_*`` knob.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import metric_count
@@ -145,70 +144,63 @@ def _parse_spec(index: int, raw, value: str) -> FaultSpec:
 
 
 class FaultPlan:
-    """An armed fault plan: per-process event counters plus injection.
+    """An armed fault plan: the driver's event counters and firing budgets."""
 
-    Event counters are process-local state; the global ``times`` budget
-    of a spec is shared across processes through token files claimed
-    with ``O_CREAT | O_EXCL`` in :attr:`state_dir`.
-    """
-
-    def __init__(self, specs: List[FaultSpec], state_dir: str) -> None:
+    def __init__(self, specs: List[FaultSpec]) -> None:
         self.specs = specs
-        self.state_dir = state_dir
-        self._counters: Dict[int, int] = {}
+        self._events = [0] * len(specs)
+        self._firings = [0] * len(specs)
 
-    # ------------------------------------------------------------------ #
-    def _claim(self, index: int) -> bool:
-        """Claim one firing of spec ``index`` against its global budget."""
-        spec = self.specs[index]
-        if spec.times is None:
-            return True
-        os.makedirs(self.state_dir, exist_ok=True)
-        for slot in range(spec.times):
-            token = os.path.join(self.state_dir, f"fault{index}-slot{slot}")
-            try:
-                os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-                return True
-            except FileExistsError:
-                continue
-            except OSError:
-                return False
-        return False
-
-    def _inject(self, spec: FaultSpec, key: str, counter: int) -> None:
-        metric_count("faults.injected")
-        if spec.kind == "kill-worker":
-            # Only worker processes die; the driver (tests, CLIs) shrugs
-            # the fault off so a suite-wide plan cannot kill the runner.
-            if multiprocessing.parent_process() is not None:
-                os._exit(1)
-            return
-        if spec.kind == "delay":
-            time.sleep(spec.seconds)
-            return
-        if spec.kind == "truncate":
-            try:
-                size = os.path.getsize(key)
-                with open(key, "r+b") as handle:
-                    handle.truncate(size // 2)
-            except OSError:
-                pass
-            return
-        # task-error / store-error: a transient, retryable OSError.
-        raise OSError(f"injected {spec.kind} fault "
-                      f"(event #{counter} at {spec.point}: {key})")
-
-    def fire(self, point: str, key: str = "") -> None:
-        """Count one event at ``point`` and inject whatever falls due."""
+    def decide(self, point: str, key: str = "") -> Tuple[FaultSpec, ...]:
+        """Count one event at ``point`` and return the specs that fall due."""
+        due = []
         for index, spec in enumerate(self.specs):
             if spec.point != point:
                 continue
             if spec.match is not None and spec.match not in key:
                 continue
-            counter = self._counters.get(index, 0) + 1
-            self._counters[index] = counter
-            if spec.due(counter) and self._claim(index):
-                self._inject(spec, key, counter)
+            self._events[index] += 1
+            if not spec.due(self._events[index]) or (
+                    spec.times is not None and self._firings[index] >= spec.times):
+                continue
+            self._firings[index] += 1
+            metric_count("faults.injected")
+            due.append(spec)
+        return tuple(due)
+
+    def fire(self, point: str, key: str = "") -> None:
+        """Count one event at ``point`` and inject what falls due, here."""
+        for spec in self.decide(point, key):
+            inject(spec, key)
+
+
+def inject(spec: FaultSpec, key: str) -> None:
+    """Inject one fault into the calling process."""
+    if spec.kind == "kill-worker":
+        if multiprocessing.parent_process() is not None:
+            os._exit(1)
+        return
+    if spec.kind == "delay":
+        time.sleep(spec.seconds)
+        return
+    if spec.kind == "truncate":
+        try:
+            size = os.path.getsize(key)
+            with open(key, "r+b") as handle:
+                handle.truncate(size // 2)
+        except OSError:
+            pass
+        return
+    # task-error / store-error: a transient, retryable OSError.
+    raise OSError(f"injected {spec.kind} fault at {spec.point}: {key}")
+
+
+def _faulted_call(faults: Tuple[FaultSpec, ...], key: str,
+                  function: Callable, args: tuple):
+    """A dispatched call shipped with the faults decided for it."""
+    for spec in faults:
+        inject(spec, key)
+    return function(*args)
 
 
 # --------------------------------------------------------------------- #
@@ -218,12 +210,11 @@ _ACTIVE: Optional[FaultPlan] = None
 _ACTIVE_KEY: Optional[str] = None
 
 
-def parse_fault_plan(value: str) -> Tuple[List[FaultSpec], Optional[str]]:
+def parse_fault_plan(value: str) -> List[FaultSpec]:
     """Parse a fault-plan document (JSON text or a path to one).
 
-    Returns ``(specs, state_dir)``; malformed documents raise
-    :class:`ConfigurationError` naming ``REPRO_FAULT_PLAN`` and the
-    value.
+    Malformed documents raise :class:`ConfigurationError` naming
+    ``REPRO_FAULT_PLAN`` and the value.
     """
     text = value
     if not value.lstrip().startswith(("{", "[")):
@@ -246,44 +237,32 @@ def parse_fault_plan(value: str) -> Tuple[List[FaultSpec], Optional[str]]:
         raise ConfigurationError(
             f"{FAULT_PLAN_ENV} must be an object with a 'faults' list "
             f"(or a bare list), got {value!r}")
-    state_dir = document.get("state_dir")
-    if state_dir is not None and not isinstance(state_dir, str):
+    unknown = set(document) - {"faults"}
+    if unknown:
         raise ConfigurationError(
-            f"{FAULT_PLAN_ENV} field 'state_dir' must be a path string, "
-            f"got {value!r}")
-    specs = [_parse_spec(index, raw, value)
-             for index, raw in enumerate(document["faults"])]
-    return specs, state_dir
-
-
-def _default_state_dir(value: str) -> str:
-    # Derived from the plan text, so every process of one run (workers
-    # inherit the same environment value) shares one budget directory.
-    digest = hashlib.sha256(value.encode("utf-8")).hexdigest()[:12]
-    return os.path.join(tempfile.gettempdir(), f"repro-faults-{digest}")
+            f"{FAULT_PLAN_ENV} has unknown fields {sorted(unknown)}, got {value!r}")
+    return [_parse_spec(index, raw, value)
+            for index, raw in enumerate(document["faults"])]
 
 
 def active_fault_plan() -> Optional[FaultPlan]:
-    """The process-wide plan named by ``REPRO_FAULT_PLAN``, or ``None``.
+    """The driver's plan named by ``REPRO_FAULT_PLAN``, or ``None``.
 
-    Rebuilt whenever the environment value changes (fresh per-process
-    event counters), so tests monkeypatching the variable and worker
-    processes inheriting it both see the right plan.
+    Always ``None`` in a worker process: only the driver decides faults.
+    Rebuilt (with fresh counters) whenever the environment value
+    changes, so tests monkeypatching the variable see the right plan.
     """
     global _ACTIVE, _ACTIVE_KEY
     value = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if not value:
-        _ACTIVE, _ACTIVE_KEY = None, None
+    if not value or multiprocessing.parent_process() is not None:
         return None
     if _ACTIVE is None or _ACTIVE_KEY != value:
-        specs, state_dir = parse_fault_plan(value)
-        _ACTIVE = FaultPlan(specs, state_dir or _default_state_dir(value))
-        _ACTIVE_KEY = value
+        _ACTIVE, _ACTIVE_KEY = FaultPlan(parse_fault_plan(value)), value
     return _ACTIVE
 
 
 def reset_fault_plan() -> None:
-    """Drop the process-wide plan instance (tests; the env decides the next)."""
+    """Drop the driver's plan instance (tests; the env decides the next)."""
     global _ACTIVE, _ACTIVE_KEY
     _ACTIVE, _ACTIVE_KEY = None, None
 
@@ -293,3 +272,26 @@ def fault_point(point: str, key: str = "") -> None:
     plan = active_fault_plan()
     if plan is not None:
         plan.fire(point, key)
+
+
+def dispatch(function: Callable, args: tuple, key: str) -> Tuple[Callable, tuple]:
+    """``(function, args)`` to submit for one dispatch of the call ``key``.
+
+    Counts one :data:`POINT_TASK` event; a call that falls due is wrapped
+    with its faults, which then strike wherever the call runs.  Without
+    an armed plan the call is returned untouched.
+    """
+    plan = active_fault_plan()
+    faults = plan.decide(POINT_TASK, key) if plan is not None else ()
+    if not faults:
+        return function, args
+    return _faulted_call, (faults, key, function, args)
+
+
+def dead_plan_warnings(counters: dict) -> List[str]:
+    """A warning naming the armed plan if a run injected no fault at all."""
+    value = os.environ.get(FAULT_PLAN_ENV, "").strip()
+    if not value or counters.get("faults.injected", 0):
+        return []
+    return [f"fault plan {FAULT_PLAN_ENV}={value} was armed but injected "
+            "no faults (its triggers never fell due)"]

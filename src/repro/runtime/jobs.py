@@ -34,6 +34,7 @@ from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import ENGINES, FastTimingSimulator
+from repro.utils.lru import LRUDict
 from repro.utils.phases import phase
 from repro.utils.vector import use_vector
 from repro.workloads.traces import OperandTrace
@@ -164,8 +165,9 @@ _DESIGN_CACHE: Dict[tuple, SynthesizedDesign] = {}
 
 
 def clear_design_cache() -> None:
-    """Drop the process-wide design memo (tests and benchmarks)."""
+    """Drop the process-wide design and simulator caches (tests, benchmarks)."""
     _DESIGN_CACHE.clear()
+    _SIMULATORS.clear()
 
 
 def synthesize_job(job: CharacterizationJob) -> SynthesizedDesign:
@@ -221,6 +223,35 @@ def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "au
             return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
                                        engine=engine)
     raise ConfigurationError(f"unknown simulator kind {kind!r}")
+
+
+def group_key(job: CharacterizationJob) -> tuple:
+    """Simulator (and planner grouping) key: all but trace and stats flag."""
+    return (job.cache_key(), job.clock_periods)
+
+
+#: Process-wide simulators by :func:`group_key`, shared by every task of
+#: every backend, in the driver and in workers.  LRU-bounded: a sweep
+#: touches most designs once, so older entries are dead weight.
+_SIMULATORS: "LRUDict[tuple, object]" = LRUDict(16)
+
+
+def cached_simulator(job: CharacterizationJob, synthesized: SynthesizedDesign,
+                     build=None):
+    """The job's simulator from the process-wide cache, built on a miss.
+
+    ``build(job, synthesized)`` defaults to :func:`build_simulator`; any
+    builder's simulator is valid at every period of the job's clock
+    plan, so an entry serves every caller of its key.
+    """
+    key = group_key(job)
+    simulator = _SIMULATORS.get(key)
+    if simulator is None:
+        simulator = _SIMULATORS.put(key, build(job, synthesized) if build else
+                                    build_simulator(job.simulator, synthesized,
+                                                    engine=job.engine,
+                                                    clock_periods=job.clock_periods))
+    return simulator
 
 
 def golden_reference(job: CharacterizationJob, synthesized: SynthesizedDesign):

@@ -13,11 +13,17 @@ every trace packing once *per job*.  The planner restores the economics:
   compiled), and simulates every trace of the group in one stacked
   multi-trace pass (:meth:`FastTimingSimulator.run_traces_multi`), so
   one bitwise operation per gate batch covers the whole group.
-* **Trace interning** — traces are identified by content digest.
-  In-process, operand expansion and packing happen once per unique
-  trace (shared across every design of a sweep); under the multiprocess
-  backend each unique trace is spilled to disk once and loaded once per
+* **Trace interning** — in-process, operand expansion and packing
+  happen once per unique trace (shared across every design of a sweep);
+  when the wrapped backend runs calls in worker processes, each unique
+  trace (by content digest) is spilled to disk once and loaded once per
   worker, instead of being pickled into every job.
+* **One dispatch path** — every group becomes one call of
+  :func:`_group_task`, handed to the wrapped backend's
+  :meth:`~repro.runtime.backends.Backend.run_calls` (its single dispatch
+  point, with its retries, pool recovery and fault decisions) on every
+  backend alike; the same task function runs in the driver and in
+  workers.
 * **Fan-out/fan-in** — per-job results are sliced back out of the
   batched arrays in submission order.  Because packed words of
   different traces never mix and the behavioural golden models are
@@ -41,27 +47,20 @@ import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.families import family_of
 from repro.obs.metrics import metric_count, metric_observe
-from repro.runtime.backends import (
-    Backend,
-    MultiprocessBackend,
-    Task,
-    TimingChunkTask,
-    _cached_design,
-    get_backend,
-)
-from repro.runtime.faultinject import POINT_TASK, fault_point
-from repro.runtime.resilience import retry_call
+from repro.runtime.backends import Backend, Task, TimingChunkTask, get_backend
 from repro.runtime.cache import trace_digest
 from repro.runtime.jobs import (
     CharacterizationJob,
     DesignCharacterization,
+    cached_simulator,
+    group_key,
     synthesize_job,
 )
 from repro.timing.fast_sim import FastTimingSimulator
@@ -85,11 +84,6 @@ def _operands_of(trace: OperandTrace) -> dict:
     if operands is None:
         operands = _OPERAND_CACHE.put((trace,), trace.as_operands())
     return operands
-
-
-def group_key(job: CharacterizationJob) -> tuple:
-    """Planner grouping key: everything but the trace and the stats flag."""
-    return (job.cache_key(), job.clock_periods)
 
 
 def build_group_simulator(job: CharacterizationJob,
@@ -173,11 +167,11 @@ def execute_group(jobs: Sequence[CharacterizationJob],
 
 
 # --------------------------------------------------------------------- #
-# Multiprocess group execution: interned traces, one task per group
+# Group calls: one task function, in the driver or in a worker
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _TraceRef:
-    """One group member's trace, by content digest and spill path.
+    """A spilled trace: written once per content digest, loaded once per worker.
 
     Presentational trace names ride along in the spill payload; results
     never depend on them (jobs report their *design* name).
@@ -185,12 +179,15 @@ class _TraceRef:
 
     digest: str
     path: str
-    collect_structural_stats: bool
 
 
 @dataclass(frozen=True)
 class _GroupSpec:
-    """A planner group as shipped to a worker: jobs minus their traces."""
+    """A planner group as one call: the shared job fields plus its traces.
+
+    ``traces`` holds the traces themselves for an in-process backend and
+    :class:`_TraceRef` spills for one whose calls cross to workers.
+    """
 
     entry: object
     width: int
@@ -199,66 +196,55 @@ class _GroupSpec:
     engine: str
     output_bus: str
     clock_periods: Tuple[float, ...]
-    members: Tuple[_TraceRef, ...]
+    traces: Tuple[Union[OperandTrace, _TraceRef], ...]
+    structural_stats: Tuple[bool, ...]
     timing_only: bool = False
 
 
-#: Worker-side interned traces by digest (LRU; traces can be large).
+#: Worker-side spilled traces by digest (LRU; traces can be large).
 _WORKER_TRACES: "LRUDict[str, OperandTrace]" = LRUDict(32)
 
-#: Worker-side clock-specialised simulators per (cache key, clock plan).
-#: LRU-bounded: a sweep touches each group once, so entries beyond the
-#: working set are dead weight in a long-lived warm pool.
-_GROUP_SIMULATORS: "LRUDict[tuple, FastTimingSimulator]" = LRUDict(16)
 
-
-def _load_trace(ref: _TraceRef) -> OperandTrace:
-    """Resolve a trace ref in the worker: one disk load per digest."""
-    trace = _WORKER_TRACES.get(ref.digest)
-    if trace is None:
-        with open(ref.path, "rb") as handle:
+def _load_trace(trace: Union[OperandTrace, _TraceRef]) -> OperandTrace:
+    """Resolve a group member's trace: one disk load per spilled digest."""
+    if isinstance(trace, OperandTrace):
+        return trace
+    loaded = _WORKER_TRACES.get(trace.digest)
+    if loaded is None:
+        with open(trace.path, "rb") as handle:
             payload = pickle.load(handle)
-        trace = _WORKER_TRACES.put(ref.digest, OperandTrace(
+        loaded = _WORKER_TRACES.put(trace.digest, OperandTrace(
             a=payload["a"], b=payload["b"],
             width=payload["width"], name=payload["name"]))
-    return trace
+    return loaded
 
 
 def _group_jobs(spec: _GroupSpec) -> List[CharacterizationJob]:
     return [CharacterizationJob(
         entry=spec.entry,
-        trace=_load_trace(ref),
+        trace=_load_trace(trace),
         clock_periods=spec.clock_periods,
         simulator=spec.simulator,
         engine=spec.engine,
         synthesis=spec.synthesis,
         width=spec.width,
-        collect_structural_stats=ref.collect_structural_stats,
+        collect_structural_stats=stats,
         output_bus=spec.output_bus,
-    ) for ref in spec.members]
+    ) for trace, stats in zip(spec.traces, spec.structural_stats)]
 
 
-def _group_simulator(job: CharacterizationJob, synthesized) -> FastTimingSimulator:
-    key = group_key(job)
-    simulator = _GROUP_SIMULATORS.get(key)
-    if simulator is None:
-        simulator = _GROUP_SIMULATORS.put(key,
-                                          build_group_simulator(job, synthesized))
-    return simulator
+def _group_task(spec: _GroupSpec):
+    """One whole planner group, batched.
 
-
-def _planned_group_task(spec: _GroupSpec):
-    """Worker task: one whole planner group, batched.
-
-    Returns per-member results in member order; traces are stripped
-    before pickling back (the parent restores them), and ``timing_only``
-    groups return just the per-member timing dicts.
+    Returns per-member results in member order with their traces
+    stripped (a worker's results are pickled back; the planner restores
+    the traces), or just the per-member timing dicts for ``timing_only``
+    groups.
     """
     jobs = _group_jobs(spec)
     job0 = jobs[0]
-    fault_point(POINT_TASK, job0.name)
-    synthesized = _cached_design(job0)
-    simulator = _group_simulator(job0, synthesized)
+    synthesized = synthesize_job(job0)
+    simulator = cached_simulator(job0, synthesized, build_group_simulator)
     if spec.timing_only:
         return simulator.run_traces_multi(
             [_operands_of(job.trace) for job in jobs], job0.clock_periods,
@@ -275,12 +261,12 @@ class PlannedBackend(Backend):
     Parameters
     ----------
     inner:
-        The backend (or backend name) the plan executes on.  Serial
-        inners run batched groups in the calling process; a
-        :class:`MultiprocessBackend` receives one task per group on its
-        own pool (traces spilled once per unique digest, loaded once per
-        worker).  Anything the planner cannot batch is passed through to
-        ``inner`` untouched, in one batch, preserving its scheduling.
+        The backend (or backend name) the plan executes on.  Every
+        batched group is one call on ``inner.run_calls``; when the inner
+        backend runs calls in worker processes, traces are spilled once
+        per unique digest and loaded once per worker.  Anything the
+        planner cannot batch is passed through to ``inner`` untouched,
+        in one batch, preserving its scheduling.
     min_group_size:
         Smallest group worth batching (default 2); smaller groups pass
         through, so the single-job split path of the multiprocess
@@ -330,35 +316,41 @@ class PlannedBackend(Backend):
         passthrough.sort()
         return batched, passthrough
 
-    def _spill_specs(self, jobs: Sequence[CharacterizationJob],
-                     batched: List[List[int]], spill_dir: str,
+    def _spill(self, trace: OperandTrace, spill_dir: str,
+               refs: Dict[str, _TraceRef]) -> _TraceRef:
+        """Write each unique trace once per batch; later members share it."""
+        digest = self._digest(trace)
+        ref = refs.get(digest)
+        if ref is None:
+            ref = refs[digest] = _TraceRef(
+                digest=digest, path=os.path.join(spill_dir, f"{digest}.pkl"))
+            with open(ref.path, "wb") as handle:
+                pickle.dump({"a": trace.a, "b": trace.b, "width": trace.width,
+                             "name": trace.name}, handle,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        return ref
+
+    def _group_specs(self, jobs: Sequence[CharacterizationJob],
+                     batched: List[List[int]], spill_dir: Optional[str],
                      timing_only: bool) -> List[_GroupSpec]:
-        """Write each unique trace once, build one spec per group."""
-        paths: Dict[str, str] = {}
+        """One spec per group; traces spilled when ``spill_dir`` is given."""
+        refs: Dict[str, _TraceRef] = {}
         specs: List[_GroupSpec] = []
         for indices in batched:
-            members = []
-            for index in indices:
-                job = jobs[index]
-                digest = self._digest(job.trace)
-                path = paths.get(digest)
-                if path is None:
-                    path = paths[digest] = os.path.join(spill_dir, f"{digest}.pkl")
-                    with open(path, "wb") as handle:
-                        pickle.dump({"a": job.trace.a, "b": job.trace.b,
-                                     "width": job.trace.width,
-                                     "name": job.trace.name}, handle,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                members.append(_TraceRef(
-                    digest=digest, path=path,
-                    collect_structural_stats=job.collect_structural_stats))
-            job0 = jobs[indices[0]]
+            group = [jobs[index] for index in indices]
+            job0 = group[0]
             specs.append(_GroupSpec(
                 entry=job0.entry, width=job0.width, synthesis=job0.synthesis,
                 simulator=job0.simulator, engine=job0.engine,
                 output_bus=job0.output_bus, clock_periods=job0.clock_periods,
-                members=tuple(members), timing_only=timing_only))
-        metric_count("plan.traces_interned", len(paths))
+                traces=tuple(job.trace if spill_dir is None
+                             else self._spill(job.trace, spill_dir, refs)
+                             for job in group),
+                structural_stats=tuple(job.collect_structural_stats
+                                       for job in group),
+                timing_only=timing_only))
+        if spill_dir is not None:
+            metric_count("plan.traces_interned", len(refs))
         return specs
 
     @staticmethod
@@ -388,69 +380,34 @@ class PlannedBackend(Backend):
                      results: List, passthrough_fn: Callable[[], None]) -> None:
         """Execute the batched groups, interleaving the pass-through batch.
 
-        On a multiprocess inner the group tasks are submitted first so
-        the pass-through jobs (scheduled by the inner backend itself)
-        overlap with them on the same pool; groups are subdivided until
-        the pool has one task per worker, so a batch with fewer groups
-        than workers still parallelises.
+        The group calls go through the inner backend's ``run_calls``:
+        transient group failures retry, a killed worker re-dispatches
+        only unfinished groups, and the pass-through jobs (scheduled by
+        the inner backend itself) run once the first round of group
+        calls is dispatched — on a pool, overlapping with them.  Groups
+        are subdivided until the inner backend has one call per worker,
+        so a batch with fewer groups than workers still parallelises.
         """
-        if batched:
-            metric_count("plan.groups", len(batched))
-            for indices in batched:
-                metric_observe("plan.group_size", len(indices))
-        if isinstance(self.inner, MultiprocessBackend) and batched:
-            batched = self._subdivide(batched, self.inner.workers)
-            spill_dir = tempfile.mkdtemp(prefix="repro-plan-traces-")
-            try:
-                specs = self._spill_specs(jobs, batched, spill_dir, timing_only)
-                # Group tasks go through the inner backend's resilient
-                # gather: transient group failures retry, a killed worker
-                # re-dispatches only unfinished groups, and the
-                # pass-through batch interleaves on the same pool.
-                gathered = self.inner.run_calls(
-                    [(_planned_group_task, (spec,), f"group:{index}")
-                     for index, spec in enumerate(specs)],
-                    interleave=passthrough_fn)
-                for indices, outcomes in zip(batched, gathered):
-                    for index, outcome in zip(indices, outcomes):
-                        results[index] = outcome
-                self.inner.drain_telemetry()
-                if not timing_only:
-                    for indices in batched:
-                        for index in indices:
-                            results[index].trace = jobs[index].trace
-            finally:
+        metric_count("plan.groups", len(batched))
+        for indices in batched:
+            metric_observe("plan.group_size", len(indices))
+        batched = self._subdivide(batched, self.inner.workers)
+        spill_dir = (None if self.inner.in_process
+                     else tempfile.mkdtemp(prefix="repro-plan-traces-"))
+        try:
+            specs = self._group_specs(jobs, batched, spill_dir, timing_only)
+            gathered = self.inner.run_calls(
+                [(_group_task, (spec,), f"group:{spec.entry.name}:{index}")
+                 for index, spec in enumerate(specs)],
+                interleave=passthrough_fn)
+        finally:
+            if spill_dir is not None:
                 shutil.rmtree(spill_dir, ignore_errors=True)
-            return
-
-        designs: Dict[tuple, object] = {}
-        simulators: Dict[tuple, FastTimingSimulator] = {}
-        policy = self.inner.retry_policy
-        for group_index, indices in enumerate(batched):
-            group = [jobs[index] for index in indices]
-            job0 = group[0]
-
-            def body(group=group, job0=job0):
-                fault_point(POINT_TASK, job0.name)
-                design_key = job0.cache_key()
-                synthesized = designs.get(design_key)
-                if synthesized is None:
-                    synthesized = designs[design_key] = synthesize_job(job0)
-                simulator_key = group_key(job0)
-                simulator = simulators.get(simulator_key)
-                if simulator is None:
-                    simulator = simulators[simulator_key] = \
-                        build_group_simulator(job0, synthesized)
-                if timing_only:
-                    return simulator.run_traces_multi(
-                        [_operands_of(job.trace) for job in group],
-                        job0.clock_periods, output_bus=job0.output_bus).timing
-                return execute_group(group, synthesized=synthesized,
-                                     simulator=simulator)
-            outcomes = retry_call(policy, f"group:{job0.name}:{group_index}", body)
+        for indices, outcomes in zip(batched, gathered):
             for index, outcome in zip(indices, outcomes):
+                if not timing_only:
+                    outcome.trace = jobs[index].trace
                 results[index] = outcome
-        passthrough_fn()
 
     # ------------------------------------------------------------------ #
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:

@@ -16,8 +16,9 @@ result.  :class:`RetryPolicy` bundles the knobs:
 * ``task_timeout`` — optional per-task wall-clock budget
   (``REPRO_TASK_TIMEOUT`` seconds).  The multiprocess backend treats a
   window with no completed task as a stall and re-dispatches
-  (see :meth:`MultiprocessBackend.run_calls`); the serial backend
-  checks post-hoc, since an in-process task cannot be preempted.
+  (see :meth:`MultiprocessBackend.run_calls`); in-process execution
+  (:func:`retry_calls`) checks post-hoc, since an in-process task
+  cannot be preempted.
 
 Only *transient* failures are retried: :data:`RETRYABLE_EXCEPTIONS`
 covers :class:`OSError` (I/O hiccups, injected faults),
@@ -33,10 +34,11 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.metrics import metric_count
+from repro.runtime.faultinject import dispatch
 
 #: Extra attempts per task on top of the first (``max_attempts - 1``).
 RETRIES_ENV = "REPRO_MAX_RETRIES"
@@ -138,35 +140,53 @@ class RetryPolicy:
         return base * (0.5 + deterministic_jitter(key, attempt))
 
 
-def retry_call(policy: RetryPolicy, key: str, function: Callable, *args,
-               clock: Callable[[], float] = time.monotonic,
-               sleep: Callable[[float], None] = time.sleep):
-    """Run ``function(*args)`` under ``policy``, in the calling process.
+def retry_calls(policy: RetryPolicy, calls: Sequence[Tuple[Callable, tuple, str]],
+                interleave: Optional[Callable[[], None]] = None,
+                clock: Callable[[], float] = time.monotonic,
+                sleep: Callable[[float], None] = time.sleep) -> List[object]:
+    """Run ``(function, args, key)`` calls under ``policy``, in this process.
 
-    The in-process twin of the multiprocess gather loop: transient
-    failures are retried with backoff up to ``max_attempts`` (each retry
-    counted as ``tasks.retried``), the *original* error propagates on
-    exhaustion, and — because an in-process task cannot be preempted —
-    the per-task timeout is enforced post-hoc: an attempt that finishes
-    over budget counts as a retryable :class:`TaskTimeoutError`.
+    The in-process twin of the multiprocess gather, in the same rounds:
+    every outstanding call is dispatched once, in call order, then the
+    transient failures are retried in the next round after the policy's
+    backoff (counted as ``tasks.retried``).  A non-retryable error, or a
+    transient one on its last attempt, propagates at once.  An in-process
+    task cannot be preempted, so the per-task timeout is checked
+    post-hoc: an attempt over budget is a retryable
+    :class:`TaskTimeoutError`.  ``interleave`` runs once, after the
+    first round.
     """
-    attempt = 1
-    while True:
-        started = clock()
-        try:
-            result = function(*args)
-        except Exception as error:
-            if not policy.retryable(error) or attempt >= policy.max_attempts:
-                raise
-        else:
+    calls = list(calls)
+    results: List[object] = [None] * len(calls)
+    attempts = [0] * len(calls)
+    outstanding = list(range(len(calls)))
+    while outstanding:
+        retries: List[int] = []
+        for index in outstanding:
+            function, args, key = calls[index]
+            attempts[index] += 1
+            submitted, submitted_args = dispatch(function, args, key)
+            started = clock()
+            try:
+                results[index] = submitted(*submitted_args)
+            except Exception as error:
+                if not policy.retryable(error) or attempts[index] >= policy.max_attempts:
+                    raise
+                retries.append(index)
+                continue
             elapsed = clock() - started
-            if policy.task_timeout is None or elapsed <= policy.task_timeout:
-                return result
-            error = TaskTimeoutError(
-                f"task {key} took {elapsed:.3f} s, over its "
-                f"{policy.task_timeout:g} s budget")
-            if attempt >= policy.max_attempts:
-                raise error
-        metric_count("tasks.retried")
-        sleep(policy.delay(key, attempt))
-        attempt += 1
+            if policy.task_timeout is not None and elapsed > policy.task_timeout:
+                if attempts[index] >= policy.max_attempts:
+                    raise TaskTimeoutError(
+                        f"task {key} took {elapsed:.3f} s, over its "
+                        f"{policy.task_timeout:g} s budget")
+                retries.append(index)
+        if interleave is not None:
+            interleave, hook = None, interleave
+            hook()
+        if retries:
+            metric_count("tasks.retried", len(retries))
+            sleep(max(policy.delay(calls[index][2], attempts[index])
+                      for index in retries))
+        outstanding = retries
+    return results

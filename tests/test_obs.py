@@ -35,13 +35,16 @@ from repro.obs import (
 )
 from repro.obs.manifest import TELEMETRY_ENV
 from repro.obs.stats_cli import main as stats_main
+from repro.runtime.faultinject import FAULT_PLAN_ENV
 from repro.utils.phases import PHASES, PhaseTimes, collect_phases, phase
 
 
 @pytest.fixture(autouse=True)
 def _isolated_telemetry_env(monkeypatch):
-    """Shield these tests from a suite-wide $REPRO_TELEMETRY_DIR (CI leg)."""
+    """Shield these tests from a suite-wide $REPRO_TELEMETRY_DIR or
+    $REPRO_FAULT_PLAN (CI legs)."""
     monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
 
 
 class TestSpans:
@@ -301,6 +304,22 @@ class TestManifests:
             pass
         assert [m["command"] for m in load_manifests(tmp_path)] == ["env-run"]
 
+    def test_armed_plan_that_never_fired_is_warned(self, tmp_path, monkeypatch):
+        plan = '[{"kind": "task-error", "at": 1000}]'
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan)
+        with telemetry_run(tmp_path, command="dead-plan"):
+            pass
+        with telemetry_run(tmp_path, command="live-plan"):
+            metric_count("faults.injected")
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        with telemetry_run(tmp_path, command="no-plan"):
+            pass
+        dead, live, unarmed = load_manifests(tmp_path)
+        [warning] = dead["warnings"]
+        assert plan in warning and "injected no faults" in warning
+        assert live["warnings"] == []
+        assert unarmed["warnings"] == []
+
     def test_load_manifests_tolerates_garbage(self, tmp_path):
         append_manifest(tmp_path, {"schema": MANIFEST_SCHEMA, "command": "ok"})
         with open(tmp_path / "manifests.jsonl", "a") as handle:
@@ -337,6 +356,35 @@ class TestStatsCli:
         trend = payload["telemetry"]["cache_trend"]
         assert [row["hits"] for row in trend] == [3, 4]
         assert trend[0]["hit_rate"] == pytest.approx(0.75)
+
+    def _write_faulted_runs(self, directory, monkeypatch):
+        monkeypatch.setenv(FAULT_PLAN_ENV, '[{"kind": "kill-worker", "at": 9}]')
+        with telemetry_run(directory, command="run_sweep"):
+            metric_count("faults.injected", 2)
+            metric_count("tasks.retried", 3)
+            metric_count("pool.rebuilds", 1)
+        with telemetry_run(directory, command="run_jobs"):
+            metric_count("backend.degraded")
+
+    def test_stats_failure_summary_text(self, tmp_path, capsys, monkeypatch):
+        self._write_faulted_runs(tmp_path, monkeypatch)
+        assert stats_main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Failure handling across runs" in out
+        for counter in ("faults.injected", "tasks.retried", "pool.rebuilds",
+                        "backend.degraded"):
+            assert counter in out
+        assert "warning (run_jobs" in out and "injected no faults" in out
+
+    def test_stats_failure_summary_json(self, tmp_path, capsys, monkeypatch):
+        self._write_faulted_runs(tmp_path, monkeypatch)
+        assert stats_main([str(tmp_path), "--json"]) == 0
+        failures = json.loads(capsys.readouterr().out)["telemetry"]["failures"]
+        assert failures["counters"] == {"faults.injected": 2, "tasks.retried": 3,
+                                        "pool.rebuilds": 1, "backend.degraded": 1}
+        [warning] = failures["warnings"]
+        assert warning["command"] == "run_jobs"
+        assert '"kill-worker"' in warning["warning"]
 
     def test_stats_requires_something_to_summarise(self, capsys):
         with pytest.raises(SystemExit):

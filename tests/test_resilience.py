@@ -7,17 +7,15 @@ original error; a pool whose workers die on every task degrades to
 in-process execution with a warning instead of failing; transient
 store-write failures warn once and continue as misses; checkpointed
 sweeps resume by replaying journaled scores and simulating only the
-unfinished jobs; and fault plans are deterministic across processes.
+unfinished jobs; and fault plans, decided in the driver at dispatch,
+fault the same calls on every backend and at every worker count.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +45,7 @@ from repro.runtime import (
     deterministic_jitter,
     parse_fault_plan,
     reset_fault_plan,
-    retry_call,
+    retry_calls,
     run_jobs,
 )
 from repro.runtime.faultinject import POINT_TASK, FaultPlan, FaultSpec
@@ -94,22 +92,28 @@ def multiprocess_backend(**kwargs):
 
 
 @pytest.fixture
-def arm_faults(monkeypatch, tmp_path):
-    """Arm (and on teardown disarm) a fault plan with a fresh state dir.
-
-    The explicit per-test ``state_dir`` matters: ``times`` budgets are
-    claimed through token files that would otherwise persist in a
-    directory derived from the plan text, across tests and runs.
-    """
-    def arm(faults, **extra):
-        document = {"faults": faults, "state_dir": str(tmp_path / "fault-state")}
-        document.update(extra)
+def arm_faults(monkeypatch):
+    """Arm (and on teardown disarm) a fault plan with fresh counters."""
+    def arm(faults):
+        document = {"faults": faults}
         monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(document))
         reset_fault_plan()
         return document
     yield arm
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
     reset_fault_plan()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Report 4 CPUs, so no requested worker count (<= 4) is clamped."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+def assert_fired(registry, plan):
+    """The armed plan injected at least one fault into the run."""
+    assert registry.counters.get("faults.injected", 0) >= 1, \
+        f"fault plan {plan} never fired"
 
 
 # --------------------------------------------------------------------- #
@@ -153,7 +157,7 @@ class TestEnvKnobs:
         ('[{"kind": "task-error", "at": 1, "color": "red"}]', "unknown fields"),
         ('[{"kind": "task-error", "at": 1, "point": "moon"}]', "unknown point"),
         ('[{"kind": "delay", "at": 1, "seconds": -1}]', "non-negative number"),
-        ('{"faults": [], "state_dir": 7}', "path string"),
+        ('{"faults": [], "state_dir": "/tmp/faults"}', "unknown fields"),
     ])
     def test_malformed_fault_plan_names_variable_and_value(self, document, detail):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -209,7 +213,8 @@ class TestRetryPolicy:
 
         policy = RetryPolicy(max_attempts=3, backoff_base=0.125)
         with metrics_run() as registry:
-            result = retry_call(policy, "flaky-task", flaky, sleep=sleeps.append)
+            [result] = retry_calls(policy, [(flaky, (), "flaky-task")],
+                                   sleep=sleeps.append)
         assert result == "ok"
         assert len(attempts) == 2
         assert sleeps == [policy.delay("flaky-task", 1)]
@@ -224,7 +229,7 @@ class TestRetryPolicy:
 
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
         with pytest.raises(OSError, match="persistent failure"):
-            retry_call(policy, "doomed", doomed, sleep=lambda _: None)
+            retry_calls(policy, [(doomed, (), "doomed")], sleep=lambda _: None)
         assert len(attempts) == 3
 
     def test_non_retryable_errors_propagate_immediately(self):
@@ -235,15 +240,15 @@ class TestRetryPolicy:
             raise ValueError("a deterministic bug")
 
         with pytest.raises(ValueError, match="deterministic bug"):
-            retry_call(RetryPolicy(max_attempts=5), "broken", broken)
+            retry_calls(RetryPolicy(max_attempts=5), [(broken, (), "broken")])
         assert len(attempts) == 1
 
     def test_posthoc_timeout_counts_as_a_retryable_failure(self):
         ticks = iter([0.0, 10.0, 10.0, 10.2])
         sleeps = []
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0, task_timeout=1.0)
-        result = retry_call(policy, "slow", lambda: "done",
-                            clock=lambda: next(ticks), sleep=sleeps.append)
+        [result] = retry_calls(policy, [(lambda: "done", (), "slow")],
+                               clock=lambda: next(ticks), sleep=sleeps.append)
         assert result == "done"
         assert len(sleeps) == 1
 
@@ -251,63 +256,68 @@ class TestRetryPolicy:
         ticks = iter([0.0, 10.0])
         policy = RetryPolicy(max_attempts=1, task_timeout=1.0)
         with pytest.raises(TaskTimeoutError, match="over its 1 s budget"):
-            retry_call(policy, "slow", lambda: "done", clock=lambda: next(ticks))
+            retry_calls(policy, [(lambda: "done", (), "slow")],
+                        clock=lambda: next(ticks))
 
 
 # --------------------------------------------------------------------- #
 # Fault plans
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
-    def test_counters_respect_point_and_match(self, tmp_path):
+    def test_counters_respect_point_and_match(self):
         plan = FaultPlan([FaultSpec(kind="task-error", point=POINT_TASK,
-                                    at=2, match="alpha")], str(tmp_path))
+                                    at=2, match="alpha")])
         plan.fire(POINT_TASK, "beta")       # filtered out by match
         plan.fire("store.write", "alpha")   # wrong point
         plan.fire(POINT_TASK, "alpha-1")    # counter 1: not due yet
         with pytest.raises(OSError, match="injected task-error"):
             plan.fire(POINT_TASK, "alpha-2")
 
-    def test_times_budget_is_shared_through_the_state_dir(self, tmp_path):
-        spec = FaultSpec(kind="task-error", point=POINT_TASK, every=1, times=1)
-        first = FaultPlan([spec], str(tmp_path))
-        second = FaultPlan([spec], str(tmp_path))  # another "process"
-        with pytest.raises(OSError):
-            first.fire(POINT_TASK, "a")
-        second.fire(POINT_TASK, "b")  # budget exhausted globally: no fire
-        second.fire(POINT_TASK, "c")
-
-    def test_kill_worker_is_a_noop_in_the_driver(self, tmp_path):
+    def test_kill_worker_is_a_noop_in_the_driver(self):
         plan = FaultPlan([FaultSpec(kind="kill-worker", point=POINT_TASK,
-                                    every=1)], str(tmp_path))
+                                    every=1)])
         with metrics_run() as registry:
             plan.fire(POINT_TASK, "driver-task")  # must not exit the test runner
         assert registry.counters["faults.injected"] == 1
 
-    def test_plans_fire_identically_across_processes(self, tmp_path):
-        script = (
-            "import json, os\n"
-            "os.environ['REPRO_FAULT_PLAN'] = json.dumps("
-            "[{'kind': 'task-error', 'at': 2},"
-            " {'kind': 'task-error', 'every': 3}])\n"
-            "from repro.runtime.faultinject import POINT_TASK, active_fault_plan\n"
-            "plan = active_fault_plan()\n"
-            "events = []\n"
-            "for index in range(12):\n"
-            "    try:\n"
-            "        plan.fire(POINT_TASK, f'job{index}')\n"
-            "        events.append('ok')\n"
-            "    except OSError as error:\n"
-            "        events.append(str(error))\n"
-            "print(json.dumps(events))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop(FAULT_PLAN_ENV, None)
-        runs = [subprocess.run([sys.executable, "-c", script], env=env,
-                               capture_output=True, text=True, check=True)
-                for _ in range(2)]
-        first, second = (json.loads(run.stdout) for run in runs)
-        assert first == second
-        assert sum(1 for event in first if event != "ok") > 0
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4],
+                             ids=["serial", "1", "2", "4"])
+    def test_plan_fires_on_the_same_call_keys_on_every_backend(
+            self, arm_faults, cpus, monkeypatch, workers):
+        reference = run_jobs(job_batch(), backend="serial", plan=False)
+        fired = []
+        decide = FaultPlan.decide
+
+        def recording_decide(plan, point, key=""):
+            due = decide(plan, point, key)
+            fired.extend((spec.kind, key) for spec in due)
+            return due
+
+        monkeypatch.setattr(FaultPlan, "decide", recording_decide)
+        plan = arm_faults([
+            {"kind": "task-error", "at": 2},
+            {"kind": "task-error", "every": 3, "times": 2},
+            {"kind": "delay", "every": 2, "seconds": 0.0, "match": "(4,2,1,2)"},
+        ])
+        backend = (SerialBackend() if workers is None
+                   else multiprocess_backend(workers=workers))
+        try:
+            with metrics_run() as registry:
+                survived = run_jobs(job_batch(), backend=backend, plan=False)
+        finally:
+            backend.close()
+        assert_fired(registry, plan)
+        for expected, got in zip(reference, survived):
+            assert_bit_identical(expected, got)
+        # Four whole-job calls on every backend, dispatched in rounds: all
+        # four, then the failed ones in call order, then the last retry.
+        keys = [f"{job.name}:{index}" for index, job in enumerate(job_batch())]
+        assert fired == [
+            ("task-error", keys[1]),
+            ("task-error", keys[2]),
+            ("delay", keys[3]),
+            ("task-error", keys[2]),
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -316,9 +326,10 @@ class TestFaultPlan:
 class TestSerialResilience:
     def test_transient_task_fault_is_retried_transparently(self, arm_faults):
         [reference] = run_jobs([small_job()], backend="serial", plan=False)
-        arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
+        plan = arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
         with metrics_run() as registry:
             [survived] = run_jobs([small_job()], backend="serial", plan=False)
+        assert_fired(registry, plan)
         assert_bit_identical(reference, survived)
         assert registry.counters["faults.injected"] == 1
         assert registry.counters["tasks.retried"] == 1
@@ -326,34 +337,39 @@ class TestSerialResilience:
     def test_planned_serial_groups_retry_too(self, arm_faults):
         jobs = job_batch()
         reference = run_jobs(jobs, backend="serial", plan=False)
-        arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
+        plan = arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
         with metrics_run() as registry:
             survived = run_jobs(job_batch(), backend="serial", plan=True)
+        assert_fired(registry, plan)
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
         assert registry.counters["tasks.retried"] >= 1
 
     def test_retry_exhaustion_propagates_the_injected_error(self, arm_faults):
-        arm_faults([{"kind": "task-error", "every": 1}])
+        plan = arm_faults([{"kind": "task-error", "every": 1}])
         backend = SerialBackend(
             retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.0))
-        with pytest.raises(OSError, match="injected task-error"):
-            backend.run([small_job()])
+        with metrics_run() as registry:
+            with pytest.raises(OSError, match="injected task-error"):
+                backend.run([small_job()])
+        assert_fired(registry, plan)
 
 
 # --------------------------------------------------------------------- #
 # Multiprocess backend resilience
 # --------------------------------------------------------------------- #
 class TestMultiprocessResilience:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("plan, cached", [
         (False, False), (True, False), (False, True), (True, True),
     ], ids=["plain", "planned", "cached", "planned-cached"])
-    def test_killed_worker_recovers_bit_identically(self, arm_faults, tmp_path,
-                                                    plan, cached):
+    def test_killed_worker_recovers_bit_identically(self, arm_faults, cpus,
+                                                    tmp_path, plan, cached,
+                                                    workers):
         jobs = job_batch()
         reference = run_jobs(jobs, backend="serial", plan=False)
-        arm_faults([{"kind": "kill-worker", "at": 2, "times": 1}])
-        backend = multiprocess_backend(workers=2)
+        fault_plan = arm_faults([{"kind": "kill-worker", "at": 2, "times": 1}])
+        backend = multiprocess_backend(workers=workers)
         try:
             with metrics_run() as registry:
                 survived = run_jobs(
@@ -361,6 +377,7 @@ class TestMultiprocessResilience:
                     cache_dir=str(tmp_path / "cache") if cached else None)
         finally:
             backend.close()
+        assert_fired(registry, fault_plan)
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
         assert registry.counters["pool.rebuilds"] >= 1
@@ -369,7 +386,7 @@ class TestMultiprocessResilience:
     def test_stalled_task_is_redispatched_after_timeout(self, arm_faults):
         job = small_job()
         [reference] = run_jobs([job], backend="serial", plan=False)
-        arm_faults([{"kind": "delay", "at": 1, "seconds": 5.0, "times": 1}])
+        plan = arm_faults([{"kind": "delay", "at": 1, "seconds": 5.0, "times": 1}])
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, task_timeout=0.5)
         backend = multiprocess_backend(workers=1, retry_policy=policy)
         try:
@@ -377,13 +394,14 @@ class TestMultiprocessResilience:
                 [survived] = backend.run([small_job()])
         finally:
             backend.close()
+        assert_fired(registry, plan)
         assert_bit_identical(reference, survived)
         assert registry.counters["pool.rebuilds"] >= 1
 
     def test_hopeless_pool_degrades_to_in_process_with_warning(self, arm_faults):
         jobs = job_batch()
         reference = run_jobs(jobs, backend="serial", plan=False)
-        arm_faults([{"kind": "kill-worker", "every": 1}])
+        plan = arm_faults([{"kind": "kill-worker", "every": 1}])
         backend = multiprocess_backend(workers=1, max_rebuilds=2)
         try:
             with metrics_run() as registry:
@@ -391,6 +409,7 @@ class TestMultiprocessResilience:
                     survived = backend.run(job_batch())
         finally:
             backend.close()
+        assert_fired(registry, plan)
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
         assert registry.counters["backend.degraded"] == 1
@@ -402,11 +421,13 @@ class TestMultiprocessResilience:
 # --------------------------------------------------------------------- #
 class TestStoreResilience:
     def test_write_failure_warns_once_and_stays_a_miss(self, arm_faults, tmp_path):
-        arm_faults([{"kind": "store-error", "every": 1}])
+        plan = arm_faults([{"kind": "store-error", "every": 1}])
         store = ResultStore(tmp_path / "store")
         path = store.result_path("ab" * 32)
-        with pytest.warns(RuntimeWarning, match="stays a miss"):
-            store.store(path, {"payload": 1})
+        with metrics_run() as registry:
+            with pytest.warns(RuntimeWarning, match="stays a miss"):
+                store.store(path, {"payload": 1})
+        assert_fired(registry, plan)
         assert store.load(path) is None
         assert store.stats.write_errors == 1
         with warnings.catch_warnings():  # the second failure stays quiet
@@ -417,13 +438,15 @@ class TestStoreResilience:
 
     def test_cached_run_survives_write_faults_as_misses(self, arm_faults, tmp_path):
         [reference] = run_jobs([small_job()], backend="serial", plan=False)
-        arm_faults([{"kind": "store-error", "every": 1,
-                     "match": str(tmp_path / "cache")}])
+        plan = arm_faults([{"kind": "store-error", "every": 1,
+                            "match": str(tmp_path / "cache")}])
         backend = CachingBackend(SerialBackend(), tmp_path / "cache")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            [first] = backend.run([small_job()])
-            [second] = backend.run([small_job()])  # nothing persisted: recompute
+            with metrics_run() as registry:
+                [first] = backend.run([small_job()])
+                [second] = backend.run([small_job()])  # nothing persisted: recompute
+        assert_fired(registry, plan)
         assert_bit_identical(reference, first)
         assert_bit_identical(reference, second)
         assert backend.stats.hits == 0
@@ -432,10 +455,12 @@ class TestStoreResilience:
 
     def test_truncated_entry_is_recomputed_as_corruption(self, arm_faults, tmp_path):
         [reference] = run_jobs([small_job()], backend="serial", plan=False)
-        arm_faults([{"kind": "truncate", "at": 1}])
+        plan = arm_faults([{"kind": "truncate", "at": 1}])
         backend = CachingBackend(SerialBackend(), tmp_path / "cache")
-        [cold] = backend.run([small_job()])       # written, then torn in half
-        [warm] = backend.run([small_job()])       # corrupt -> miss -> recompute
+        with metrics_run() as registry:
+            [cold] = backend.run([small_job()])       # written, then torn in half
+            [warm] = backend.run([small_job()])       # corrupt -> miss -> recompute
+        assert_fired(registry, plan)
         assert_bit_identical(reference, cold)
         assert_bit_identical(reference, warm)
         assert backend.stats.corrupt >= 1
@@ -569,17 +594,18 @@ class TestCLIValidation:
 # no jobs (ISSUE acceptance scenario).
 # --------------------------------------------------------------------- #
 class TestAcceptance:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_faulted_multiprocess_sweep_matches_fault_free_serial(
-            self, arm_faults, tmp_path):
+            self, arm_faults, cpus, tmp_path, workers):
         spec = small_sweep_spec(max_designs=4)
         reference = run_sweep(spec)  # fault-free, serial
 
         cache_dir = tmp_path / "chaos-cache"
-        arm_faults([
+        plan = arm_faults([
             {"kind": "kill-worker", "at": 2, "times": 1},
             {"kind": "store-error", "every": 2, "match": str(cache_dir)},
         ])
-        backend = multiprocess_backend(workers=2)
+        backend = multiprocess_backend(workers=workers)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -589,6 +615,7 @@ class TestAcceptance:
         finally:
             backend.close()
 
+        assert_fired(registry, plan)
         assert faulted.points == reference.points  # zero lost or wrong jobs
         assert len(faulted.points) == spec.point_count
         assert registry.counters["tasks.retried"] >= 1

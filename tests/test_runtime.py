@@ -9,9 +9,11 @@ small 16-bit designs so the suite stays fast.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,18 @@ class TestBackendApi:
             assert backend._pool is not None
             [second] = run_jobs([job], backend=backend)
             assert_bit_identical(first, second)
+
+    def test_benchmark_hooks_resolve_on_their_owners(self):
+        # The benchmark's traced run wraps every hook through
+        # ``owner.__dict__``: a hook renamed away or only inherited would
+        # break the traced run, so each must be defined on its own owner.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "ledger.py"
+        spec = importlib.util.spec_from_file_location("perfbench_ledger", path)
+        ledger = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ledger)
+        for owner, name, _, _ in ledger._targets():
+            assert name in vars(owner), \
+                f"{owner.__name__}.{name} is not defined on {owner.__name__}"
 
     def test_execute_job_matches_characterize_design(self):
         config = StudyConfig(characterization_length=120, training_length=120,
