@@ -22,7 +22,7 @@ from repro.analysis.report import format_log_value, format_table
 from repro.experiments.common import StudyConfig
 from repro.experiments.designs import DesignEntry
 from repro.ml.metrics import classification_summary, floored
-from repro.ml.model import BitLevelTimingModel
+from repro.ml.model import BitLevelTimingModel, score_error_matrix
 from repro.runtime import DesignCharacterization
 from repro.workloads.traces import OperandTrace
 
@@ -115,8 +115,9 @@ def rows_from_characterizations(config: StudyConfig,
                                     output_width=config.width + 1, options=config.model)
         model.fit(training.trace, training.gold_words, training.timing_trace(period))
         eval_timing = evaluation.timing_trace(period)
-        metrics = model.evaluate(evaluation.trace, evaluation.gold_words, eval_timing)
+        # One prediction per model serves every metric of the row.
         predicted_errors = model.predict_error_matrix(evaluation.trace, evaluation.gold_words)
+        metrics = score_error_matrix(predicted_errors, evaluation.gold_words, eval_timing)
         summary = classification_summary(predicted_errors, eval_timing.error_bits())
         rows.append(PredictionRow(
             design=training.name,

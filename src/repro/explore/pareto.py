@@ -38,6 +38,9 @@ from repro.explore.sweep import SweepPoint
 Quadruple = Tuple[int, int, int, int]
 Objective = Callable[["ParetoPoint"], float]
 
+#: Rows per block of the skyline pass in :func:`nondominated_mask`.
+_SKYLINE_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -132,25 +135,41 @@ def nondominated_mask(values: np.ndarray) -> np.ndarray:
 
     Row ``j`` dominates row ``i`` when it is no worse on every column and
     strictly better on at least one (all objectives minimised) — the
-    same rule as :func:`dominates`, evaluated for all pairs at once.
-    The comparison is blocked so peak memory stays bounded on the large
-    predicted-candidate sets of the adaptive explorer (tens of
-    thousands of rows), where the pure-Python pairwise loop would be
-    minutes instead of milliseconds.
+    same rule as :func:`dominates`.  A dominator is always
+    lexicographically smaller than the row it dominates, and dominance
+    is transitive, so a skyline pass suffices: rows are visited in
+    lexicographic order, block by block, and each block is compared
+    only with the survivors so far and with itself.  Only comparisons
+    are involved, so the mask is exactly the all-pairs one (rows with a
+    NaN neither dominate nor are dominated), at a fraction of the cost
+    on the adaptive explorer's large predicted-candidate sets, where
+    most rows are dominated.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise AnalysisError(f"expected a 2-D objective matrix, got shape {values.shape}")
-    count = values.shape[0]
+    count, columns = values.shape
     mask = np.ones(count, dtype=bool)
-    if count == 0:
+    if count == 0 or columns == 0:
         return mask
-    block_rows = max(1, (4 << 20) // max(1, count * values.shape[1]))
-    for start in range(0, count, block_rows):
-        block = values[start:start + block_rows]
-        no_worse = (values[None, :, :] <= block[:, None, :]).all(axis=2)
-        strictly_better = (values[None, :, :] < block[:, None, :]).any(axis=2)
-        mask[start:start + block_rows] = ~(no_worse & strictly_better).any(axis=1)
+    order = np.lexsort(values.T[::-1])
+    ordered = values[order]
+    keep = np.zeros(count, dtype=bool)
+    survivors = ordered[:0]
+    start = 0
+    while start < count:
+        # Bound the (block x compared rows x columns) temporaries.
+        rows = max(1, min(_SKYLINE_BLOCK, (4 << 20) // (
+            (survivors.shape[0] + _SKYLINE_BLOCK) * columns)))
+        block = ordered[start:start + rows]
+        against = np.concatenate([survivors, block])
+        no_worse = (against[None, :, :] <= block[:, None, :]).all(axis=2)
+        strictly_better = (against[None, :, :] < block[:, None, :]).any(axis=2)
+        alive = ~(no_worse & strictly_better).any(axis=1)
+        keep[start:start + rows] = alive
+        survivors = np.concatenate([survivors, block[alive]])
+        start += rows
+    mask[order] = keep
     return mask
 
 

@@ -7,6 +7,7 @@ At prediction time it emits per-bit timing classes and deduces the
 predicted silver (over-clocked) output word by flipping the golden bits
 it believes are timing-erroneous — exactly how the paper converts
 timing-class vectors into arithmetic values for the AVPE metric.
+:func:`score_error_matrix` scores one prediction for both metrics.
 """
 
 from __future__ import annotations
@@ -122,24 +123,8 @@ class BitLevelTimingModel:
         return (1 - self.predict_error_matrix(trace, gold_words)).astype(np.uint8)
 
     def predict_silver(self, trace: OperandTrace, gold_words: np.ndarray) -> np.ndarray:
-        """Predicted over-clocked output words.
-
-        A predicted timing error on bit ``n`` flips the golden bit, but
-        only when the golden bit actually toggles between consecutive
-        cycles — a latched stale value can only differ from the golden
-        value in that case (the same observation the feature set encodes).
-        """
-        gold_words = np.asarray(gold_words, dtype=np.uint64)
-        errors = self.predict_error_matrix(trace, gold_words)
-        current = gold_words[1:]
-        previous = gold_words[:-1]
-        silver = current.copy()
-        for bit in range(self.output_width):
-            weight = np.uint64(1 << bit)
-            toggled = ((current ^ previous) >> np.uint64(bit)) & np.uint64(1)
-            flip = (errors[:, bit].astype(np.uint64) & toggled).astype(bool)
-            silver = np.where(flip, silver ^ weight, silver)
-        return silver
+        """Predicted over-clocked output words (see :func:`silver_from_errors`)."""
+        return silver_from_errors(gold_words, self.predict_error_matrix(trace, gold_words))
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -147,14 +132,8 @@ class BitLevelTimingModel:
     def evaluate(self, trace: OperandTrace, gold_words: np.ndarray,
                  timing_trace: TimingErrorTrace) -> Dict[str, float]:
         """ABPER and AVPE of the model on an evaluation trace."""
-        predicted_classes = self.predict_timing_classes(trace, gold_words)
-        real_classes = timing_trace.timing_classes()
-        predicted_silver = self.predict_silver(trace, gold_words)
-        real_silver = timing_trace.sampled_words
-        return {
-            "abper": abper(predicted_classes, real_classes),
-            "avpe": avpe(predicted_silver, real_silver),
-        }
+        return score_error_matrix(self.predict_error_matrix(trace, gold_words),
+                                  gold_words, timing_trace)
 
     def describe(self) -> str:
         """Human-readable summary of the trained model."""
@@ -162,3 +141,32 @@ class BitLevelTimingModel:
         trained = len(self._classifiers)
         return (f"BitLevelTimingModel[{self.design} @ {self.clock_period * 1e12:.0f} ps]: "
                 f"{trained} trained bits, {constant} constant bits")
+
+
+def silver_from_errors(gold_words: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Over-clocked output words implied by predicted timing-error flags.
+
+    A predicted timing error on bit ``n`` flips the golden bit, but only
+    when the golden bit actually toggles between consecutive cycles — a
+    latched stale value can only differ from the golden value in that
+    case (the same observation the feature set encodes).
+    """
+    gold_words = np.asarray(gold_words, dtype=np.uint64)
+    current = gold_words[1:]
+    previous = gold_words[:-1]
+    silver = current.copy()
+    for bit in range(errors.shape[1]):
+        weight = np.uint64(1 << bit)
+        toggled = ((current ^ previous) >> np.uint64(bit)) & np.uint64(1)
+        flip = (errors[:, bit].astype(np.uint64) & toggled).astype(bool)
+        silver = np.where(flip, silver ^ weight, silver)
+    return silver
+
+
+def score_error_matrix(errors: np.ndarray, gold_words: np.ndarray,
+                       timing_trace: TimingErrorTrace) -> Dict[str, float]:
+    """ABPER and AVPE of one error-flag prediction against the measured trace."""
+    return {
+        "abper": abper((1 - errors).astype(np.uint8), timing_trace.timing_classes()),
+        "avpe": avpe(silver_from_errors(gold_words, errors), timing_trace.sampled_words),
+    }

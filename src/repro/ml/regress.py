@@ -1,281 +1,52 @@
-"""Regression trees and forests on numeric features.
+"""Regression forests on numeric features.
 
-The classification side of :mod:`repro.ml` mirrors the paper's Random
-Forest Classification of bit-level timing errors; this module extends
-the same from-scratch machinery to *regression*, the mode the adaptive
-design-space explorer (:mod:`repro.explore.adaptive`) uses as a cheap
-surrogate for expensive simulation: quadruple-derived features of an
+The squared-error mode of the learner in :mod:`repro.ml.forest`, used
+by the adaptive design-space explorer (:mod:`repro.explore.adaptive`)
+as a cheap surrogate for simulation: quadruple-derived features of an
 :class:`~repro.core.config.ISAConfig` predict the sweep's scoring axes
-(joint RMS relative error, gate count, area proxy) directly, no
-synthesis or simulation involved.
-
-Differences from the classifier (:mod:`repro.ml.tree`), both deliberate:
-
-* features are **numeric**, so internal nodes split on a learned
-  threshold (``x[feature] > threshold``) instead of a binary value;
-* the split criterion is **variance reduction** (sum-of-squared-error
-  decrease), evaluated for every candidate threshold of every candidate
-  feature at once with prefix sums over the sorted column.
-
-Seeding follows the classifier exactly: a master seed spawns one
-independent stream per tree for bootstrap resampling and per-split
-feature subsampling (:func:`repro.utils.rng.spawn_rngs`), so the same
-seed reproduces the same ensemble bit-for-bit in any process.
+(joint RMS relative error, gate count, area proxy) directly.  Every
+surrogate column has a few dozen distinct values at most, so binning
+one bin per value keeps every split exact: ``x[feature] > threshold``
+with the threshold midway between adjacent values present in the node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import ModelError
-from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
+from repro.ml.forest import BaggedForest, SSE
+from repro.utils.rng import SeedLike
 
 
-@dataclass
-class _RegressionNode:
-    """One tree node: a leaf (mean prediction) or a threshold split."""
+class RandomForestRegressor(BaggedForest):
+    """Bagged CART regression trees; predicts the mean over trees.
 
-    prediction: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_RegressionNode"] = None
-    right: Optional["_RegressionNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-def _best_threshold(column: np.ndarray, y: np.ndarray) -> tuple:
-    """Best split of one numeric column by variance reduction.
-
-    Returns ``(sse, threshold)`` — the summed squared error of the two
-    children and the midpoint threshold achieving it — or ``(inf, 0.0)``
-    when the column is constant (no split possible).  All candidate
-    thresholds (boundaries between distinct consecutive sorted values)
-    are evaluated at once with prefix sums.
-    """
-    order = np.argsort(column, kind="stable")
-    sorted_x = column[order]
-    sorted_y = y[order]
-    boundaries = np.flatnonzero(sorted_x[1:] != sorted_x[:-1])
-    if boundaries.size == 0:
-        return np.inf, 0.0
-    prefix_sum = np.cumsum(sorted_y)
-    prefix_sq = np.cumsum(sorted_y * sorted_y)
-    total_sum = prefix_sum[-1]
-    total_sq = prefix_sq[-1]
-    count = y.shape[0]
-    left_count = (boundaries + 1).astype(np.float64)
-    right_count = count - left_count
-    left_sum = prefix_sum[boundaries]
-    left_sq = prefix_sq[boundaries]
-    sse = ((left_sq - left_sum * left_sum / left_count)
-           + ((total_sq - left_sq)
-              - (total_sum - left_sum) * (total_sum - left_sum) / right_count))
-    best = int(np.argmin(sse))
-    split = boundaries[best]
-    threshold = 0.5 * (sorted_x[split] + sorted_x[split + 1])
-    return float(sse[best]), float(threshold)
-
-
-class DecisionTreeRegressor:
-    """CART regression tree over numeric feature matrices.
-
-    Parameters
-    ----------
-    max_depth:
-        Maximum tree depth (root has depth 0).
-    min_samples_split:
-        Minimum number of samples required to attempt a split.
-    max_features:
-        Features examined per split: ``None`` (all), an int, or
-        ``"sqrt"``.  The surrogate's feature count is small, so the
-        default keeps every split exact; forests may subsample to
-        decorrelate trees.
-    seed:
-        Seed for the feature subsampling (matches the classifier).
-    """
-
-    def __init__(self, max_depth: int = 12, min_samples_split: int = 4,
-                 max_features: Optional[object] = None, seed: SeedLike = None) -> None:
-        if max_depth < 1:
-            raise ModelError(f"max_depth must be at least 1, got {max_depth}")
-        if min_samples_split < 2:
-            raise ModelError(f"min_samples_split must be at least 2, got {min_samples_split}")
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self._rng = ensure_rng(seed)
-        self._root: Optional[_RegressionNode] = None
-        self.n_features_: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Fit the tree on a numeric feature matrix and float targets."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ModelError(f"inconsistent shapes X{X.shape} y{y.shape}")
-        if X.shape[0] == 0:
-            raise ModelError("cannot fit a tree on an empty dataset")
-        self.n_features_ = X.shape[1]
-        self._root = self._build(X, y, depth=0)
-        return self
-
-    def _candidate_features(self) -> np.ndarray:
-        assert self.n_features_ is not None
-        if self.max_features is None:
-            return np.arange(self.n_features_)
-        if self.max_features == "sqrt":
-            count = max(1, int(np.sqrt(self.n_features_)))
-        else:
-            count = min(int(self.max_features), self.n_features_)
-        return self._rng.choice(self.n_features_, size=count, replace=False)
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _RegressionNode:
-        prediction = float(y.mean())
-        if depth >= self.max_depth or y.shape[0] < self.min_samples_split:
-            return _RegressionNode(prediction=prediction)
-        parent_sse = float(np.sum((y - prediction) ** 2))
-        if parent_sse <= 1e-12:
-            return _RegressionNode(prediction=prediction)
-        candidates = self._candidate_features()
-        best_feature = -1
-        best_sse = np.inf
-        best_threshold = 0.0
-        for feature in candidates:
-            sse, threshold = _best_threshold(X[:, feature], y)
-            if sse < best_sse:
-                best_feature = int(feature)
-                best_sse = sse
-                best_threshold = threshold
-        if best_feature < 0 or parent_sse - best_sse <= 1e-12:
-            return _RegressionNode(prediction=prediction)
-        right_mask = X[:, best_feature] > best_threshold
-        left = self._build(X[~right_mask], y[~right_mask], depth + 1)
-        right = self._build(X[right_mask], y[right_mask], depth + 1)
-        return _RegressionNode(prediction=prediction, feature=best_feature,
-                               threshold=best_threshold, left=left, right=right)
-
-    # ------------------------------------------------------------------ #
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted target for every row of ``X``."""
-        if self._root is None:
-            raise ModelError("this tree has not been fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise ModelError(
-                f"expected feature matrix with {self.n_features_} columns, got shape {X.shape}")
-        predictions = np.empty(X.shape[0], dtype=np.float64)
-        # Iterative partition-based traversal: route index groups level by level.
-        stack: List[tuple] = [(self._root, np.arange(X.shape[0]))]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                predictions[indices] = node.prediction
-                continue
-            right_mask = X[indices, node.feature] > node.threshold
-            stack.append((node.left, indices[~right_mask]))
-            stack.append((node.right, indices[right_mask]))
-        return predictions
-
-    # ------------------------------------------------------------------ #
-    def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-        if self._root is None:
-            raise ModelError("this tree has not been fitted")
-
-        def walk(node: _RegressionNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
-
-    def node_count(self) -> int:
-        """Total number of nodes in the fitted tree."""
-        if self._root is None:
-            raise ModelError("this tree has not been fitted")
-
-        def walk(node: _RegressionNode) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self._root)
-
-
-class RandomForestRegressor:
-    """Bagged ensemble of :class:`DecisionTreeRegressor`.
-
-    Predicts by averaging the trees; :meth:`predict_std` exposes the
-    tree-ensemble spread the adaptive explorer uses as its uncertainty
-    signal (candidates the trees disagree on are worth simulating).
-
-    Parameters
-    ----------
-    n_estimators:
-        Number of trees.
-    max_depth, min_samples_split, max_features:
-        Passed to every tree (``max_features=None`` keeps every split
-        exact — with the surrogate's handful of features, bootstrap
-        resampling alone provides the decorrelation).
-    seed:
-        Master seed; each tree receives an independent derived stream,
-        exactly like :class:`~repro.ml.forest.RandomForestClassifier`.
+    :meth:`predict_std` exposes the tree-ensemble spread the adaptive
+    explorer uses as its uncertainty signal.  ``max_features=None``
+    (the default) keeps every split exact — with the surrogate's
+    handful of features, bootstrap resampling alone decorrelates the
+    trees.  Seeding matches
+    :class:`~repro.ml.forest.RandomForestClassifier`.
     """
 
     def __init__(self, n_estimators: int = 24, max_depth: int = 12,
                  min_samples_split: int = 4, max_features: Optional[object] = None,
                  seed: SeedLike = None) -> None:
-        if n_estimators < 1:
-            raise ModelError(f"n_estimators must be at least 1, got {n_estimators}")
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.seed = seed
-        self.trees_: List[DecisionTreeRegressor] = []
-        self.n_features_: Optional[int] = None
+        super().__init__(n_estimators, max_depth, min_samples_split, max_features, seed)
 
-    # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit the ensemble on a numeric feature matrix and float targets."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ModelError(f"inconsistent shapes X{X.shape} y{y.shape}")
-        if X.shape[0] == 0:
-            raise ModelError("cannot fit a forest on an empty dataset")
-        self.n_features_ = X.shape[1]
-        self.trees_ = []
-        streams = spawn_rngs(self.seed, self.n_estimators * 2)
         samples = X.shape[0]
-        for index in range(self.n_estimators):
-            sample_rng = streams[2 * index]
-            tree_rng = streams[2 * index + 1]
-            chosen = sample_rng.integers(0, samples, size=samples)
-            tree = DecisionTreeRegressor(max_depth=self.max_depth,
-                                         min_samples_split=self.min_samples_split,
-                                         max_features=self.max_features,
-                                         seed=tree_rng)
-            tree.fit(X[chosen], y[chosen])
-            self.trees_.append(tree)
+        self._grow(SSE, X, y, lambda rng: rng.integers(0, samples, size=samples))
         return self
 
-    # ------------------------------------------------------------------ #
     def predict_all(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape ``(n_estimators, rows)``."""
-        if not self.trees_:
-            raise ModelError("this forest has not been fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return np.stack([tree.predict(X) for tree in self.trees_])
+        return self._tree_values(np.asarray(X, dtype=np.float64))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean prediction over the ensemble."""
@@ -289,19 +60,3 @@ class RandomForestRegressor:
         constrains poorly.
         """
         return self.predict_all(X).std(axis=0)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def is_fitted(self) -> bool:
-        """True once :meth:`fit` has completed."""
-        return bool(self.trees_)
-
-    def describe(self) -> str:
-        """Short human-readable summary of the fitted ensemble."""
-        if not self.trees_:
-            return "RandomForestRegressor (not fitted)"
-        depths = [tree.depth() for tree in self.trees_]
-        nodes = [tree.node_count() for tree in self.trees_]
-        return (f"RandomForestRegressor: {len(self.trees_)} trees, "
-                f"depth {min(depths)}-{max(depths)}, "
-                f"{int(np.mean(nodes))} nodes on average")

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import all_pairs_nondominated_mask
 from repro.core.config import ISAConfig
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.experiments.common import StudyConfig, shutdown_backends
@@ -25,6 +29,7 @@ from repro.explore.pareto import (
     aggregate_points,
     dominates,
     nearest_paper_design,
+    nondominated_mask,
     pareto_frontier,
     quadruple_distance,
     rank_frontier,
@@ -259,6 +264,27 @@ class TestParetoProperties:
         lucky = point(design="lucky", rms=0.0, gates=180, area=0.9)
         frontier = pareto_frontier([exact, lucky])
         assert exact in frontier and lucky in frontier
+
+    # Few distinct values, so ties, duplicate rows, NaN and -0.0 are common.
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=60),
+                      elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, np.nan, np.inf])))
+    def test_skyline_mask_matches_all_pairs_oracle(self, values):
+        mask = nondominated_mask(values)
+        assert mask.dtype == bool and mask.shape == (values.shape[0],)
+        assert np.array_equal(mask, all_pairs_nondominated_mask(values))
+
+    def test_skyline_mask_on_a_large_predicted_set(self):
+        rng = np.random.default_rng(5)
+        values = np.column_stack([rng.integers(0, 2, 1700), rng.normal(size=(1700, 3)),
+                                  np.tile([1.0, 0.9], 850)])
+        values[::7] = values[3]                      # duplicated rows
+        assert np.array_equal(nondominated_mask(values),
+                              all_pairs_nondominated_mask(values))
+        assert nondominated_mask(np.zeros((0, 5))).shape == (0,)
+        with pytest.raises(AnalysisError):
+            nondominated_mask(np.zeros(3))
 
     def test_rank_frontier_orders_by_accuracy_then_cost(self):
         ranked = rank_frontier([point(design="b", rms=0.5, gates=10),

@@ -1,13 +1,18 @@
-"""Tests for the from-scratch decision tree and random forest."""
+"""Tests for the from-scratch random forests (one level-wise learner).
+
+Tree-level properties are checked on the fitted flat node arrays; the
+recursive per-node forests in ``oracles.py`` pin the learner's output
+bit for bit wherever split sums are exact.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import RecursiveForestClassifier, RecursiveForestRegressor
 from repro.exceptions import ModelError
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.regress import DecisionTreeRegressor, RandomForestRegressor
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.regress import RandomForestRegressor
 
 
 def make_dataset(rule, samples=400, features=12, seed=0):
@@ -17,68 +22,79 @@ def make_dataset(rule, samples=400, features=12, seed=0):
     return X, y
 
 
-class TestDecisionTree:
+def single_tree(max_depth, **kwargs):
+    """A one-tree forest seeing every feature: a plain CART tree on a bootstrap."""
+    return RandomForestClassifier(n_estimators=1, max_depth=max_depth,
+                                  max_features=None, seed=0, **kwargs)
+
+
+class TestClassifierTrees:
     def test_learns_single_feature_rule(self):
         X, y = make_dataset(lambda X: X[:, 3])
-        tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
-        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(single_tree(3).fit(X, y).predict(X), y)
 
     def test_learns_conjunction(self):
         X, y = make_dataset(lambda X: X[:, 0] & X[:, 5])
-        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        assert (tree.predict(X) == y).mean() > 0.98
+        assert (single_tree(4).fit(X, y).predict(X) == y).mean() > 0.98
 
     def test_learns_xor_with_enough_depth(self):
         """XOR has no single-feature gain, but sampling noise lets greedy CART split it."""
         X, y = make_dataset(lambda X: X[:, 0] ^ X[:, 1], samples=800, features=6)
-        tree = DecisionTreeClassifier(max_depth=8, min_samples_split=4).fit(X, y)
-        assert (tree.predict(X) == y).mean() > 0.9
+        forest = single_tree(8, min_samples_split=4).fit(X, y)
+        assert (forest.predict(X) == y).mean() > 0.9
 
-    def test_pure_labels_give_leaf(self):
+    def test_pure_labels_give_single_leaf_trees(self):
         X = np.zeros((10, 4), dtype=np.uint8)
-        y = np.ones(10, dtype=np.uint8)
-        tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.depth() == 0
-        assert tree.predict(X).tolist() == [1] * 10
+        forest = RandomForestClassifier(n_estimators=3, seed=0).fit(X, np.ones(10, np.uint8))
+        assert forest.forest_.tree_depths().tolist() == [0, 0, 0]
+        assert forest.forest_.tree_sizes().tolist() == [1, 1, 1]
+        assert forest.predict(X).tolist() == [1] * 10
+
+    def test_leaves_are_pure_when_a_feature_explains_the_labels(self):
+        X, y = make_dataset(lambda X: X[:, 2] & X[:, 7])
+        flat = RandomForestClassifier(n_estimators=4, max_depth=6, max_features=None,
+                                      seed=1).fit(X, y).forest_
+        leaves = flat.feature < 0
+        assert set(flat.value[leaves].tolist()) <= {0.0, 1.0}
+        # Internal nodes point at two distinct children; leaves at themselves.
+        internal = np.flatnonzero(~leaves)
+        assert np.all(flat.left[internal] != flat.right[internal])
+        assert np.all(flat.left[leaves] == np.flatnonzero(leaves))
 
     def test_probability_output_range(self):
         X, y = make_dataset(lambda X: X[:, 0] | X[:, 1])
-        tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        probabilities = tree.predict_proba(X)
+        probabilities = single_tree(2).fit(X, y).predict_proba(X)
         assert probabilities.min() >= 0.0 and probabilities.max() <= 1.0
 
-    def test_max_depth_respected(self):
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 3])
+    def test_max_depth_respected(self, max_features):
         X, y = make_dataset(lambda X: X[:, 0] ^ X[:, 1] ^ X[:, 2], samples=800)
-        tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert tree.depth() <= 2
+        forest = RandomForestClassifier(n_estimators=5, max_depth=2, min_samples_split=2,
+                                        max_features=max_features, seed=0).fit(X, y)
+        assert forest.forest_.tree_depths().max() <= 2
 
     def test_node_count_positive(self):
         X, y = make_dataset(lambda X: X[:, 2])
-        tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.node_count() >= 3
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ModelError):
-            DecisionTreeClassifier().predict(np.zeros((2, 3), dtype=np.uint8))
+        assert single_tree(8).fit(X, y).forest_.tree_sizes()[0] >= 3
 
     def test_shape_errors(self):
         with pytest.raises(ModelError):
-            DecisionTreeClassifier().fit(np.zeros((3, 2), dtype=np.uint8),
+            RandomForestClassifier().fit(np.zeros((3, 2), dtype=np.uint8),
                                          np.zeros(4, dtype=np.uint8))
-        tree = DecisionTreeClassifier().fit(np.zeros((4, 2), dtype=np.uint8),
-                                            np.array([0, 1, 0, 1], dtype=np.uint8))
+        forest = RandomForestClassifier().fit(np.zeros((4, 2), dtype=np.uint8),
+                                              np.array([0, 1, 0, 1], dtype=np.uint8))
         with pytest.raises(ModelError):
-            tree.predict(np.zeros((2, 5), dtype=np.uint8))
+            forest.predict(np.zeros((2, 5), dtype=np.uint8))
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ModelError):
-            DecisionTreeClassifier(max_depth=0)
+            RandomForestClassifier(max_depth=0)
         with pytest.raises(ModelError):
-            DecisionTreeClassifier(min_samples_split=1)
+            RandomForestClassifier(min_samples_split=1)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ModelError):
-            DecisionTreeClassifier().fit(np.zeros((0, 3), dtype=np.uint8),
+            RandomForestClassifier().fit(np.zeros((0, 3), dtype=np.uint8),
                                          np.zeros(0, dtype=np.uint8))
 
 
@@ -152,39 +168,105 @@ def _fit_and_predict_regressor(seed):
     return forest.predict(X[:50])
 
 
-class TestDecisionTreeRegressor:
+def _single_regression_tree(max_depth, **kwargs):
+    return RandomForestRegressor(n_estimators=1, max_depth=max_depth, seed=0, **kwargs)
+
+
+def _fit_and_predict_classifier(seed):
+    """Module-level so ProcessPoolExecutor can pickle it (spawn-safe)."""
+    X, y = make_dataset(lambda X: X[:, 1] & X[:, 4], seed=3)
+    forest = RandomForestClassifier(n_estimators=6, seed=seed).fit(X, y)
+    return forest.predict_proba(X[:50])
+
+
+class TestRegressorTrees:
     def test_learns_step_function(self):
         X, y = _regress_dataset(lambda X: np.where(X[:, 1] > 0.5, 4.0, -1.0))
-        tree = DecisionTreeRegressor(max_depth=2).fit(X, y)
-        assert np.abs(tree.predict(X) - y).max() < 1e-9
+        forest = _single_regression_tree(2).fit(X, y)
+        assert np.abs(forest.predict(X) - y).max() < 1e-9
 
     def test_learns_piecewise_surface(self):
         X, y = _regress_dataset(lambda X: np.sign(X[:, 0]) + 2.0 * np.sign(X[:, 3]))
-        tree = DecisionTreeRegressor(max_depth=4).fit(X, y)
-        assert np.abs(tree.predict(X) - y).mean() < 0.05
+        forest = _single_regression_tree(4).fit(X, y)
+        assert np.abs(forest.predict(X) - y).mean() < 0.05
 
     def test_constant_target_is_single_leaf(self):
         X = np.arange(20, dtype=np.float64).reshape(10, 2)
-        tree = DecisionTreeRegressor().fit(X, np.full(10, 2.5))
-        assert tree.depth() == 0
-        assert tree.node_count() == 1
-        assert tree.predict(X).tolist() == [2.5] * 10
+        forest = RandomForestRegressor(n_estimators=2, seed=0).fit(X, np.full(10, 2.5))
+        assert forest.forest_.tree_depths().tolist() == [0, 0]
+        assert forest.forest_.tree_sizes().tolist() == [1, 1]
+        assert forest.predict(X).tolist() == [2.5] * 10
 
-    def test_max_depth_respected(self):
+    @pytest.mark.parametrize("max_features", [None, "sqrt"])
+    def test_max_depth_respected(self, max_features):
         X, y = _regress_dataset(lambda X: X[:, 0] * X[:, 1], samples=600)
-        tree = DecisionTreeRegressor(max_depth=3, min_samples_split=2).fit(X, y)
-        assert tree.depth() <= 3
+        forest = RandomForestRegressor(n_estimators=3, max_depth=3, min_samples_split=2,
+                                       max_features=max_features, seed=0).fit(X, y)
+        assert forest.forest_.tree_depths().max() <= 3
+
+    def test_threshold_is_the_midpoint_of_adjacent_present_values(self):
+        X = np.repeat([0.0, 1.0, 4.0, 10.0], 25)[:, None]
+        y = np.where(X[:, 0] >= 4.0, 5.0, 0.0)
+        flat = RandomForestRegressor(n_estimators=3, max_depth=1, seed=0).fit(X, y).forest_
+        assert flat.feature[:3].tolist() == [0, 0, 0]
+        assert flat.threshold[:3].tolist() == [2.5, 2.5, 2.5]
 
     def test_unfitted_and_bad_shapes_rejected(self):
         with pytest.raises(ModelError):
-            DecisionTreeRegressor().predict(np.zeros((1, 2)))
+            RandomForestRegressor().predict(np.zeros((1, 2)))
         with pytest.raises(ModelError):
-            DecisionTreeRegressor(max_depth=0)
+            RandomForestRegressor(max_depth=0)
         with pytest.raises(ModelError):
-            DecisionTreeRegressor().fit(np.zeros((3, 2)), np.zeros(4))
-        tree = DecisionTreeRegressor().fit(np.zeros((4, 2)), np.zeros(4))
+            RandomForestRegressor().fit(np.zeros((3, 2)), np.zeros(4))
+        forest = RandomForestRegressor().fit(np.zeros((4, 2)), np.zeros(4))
         with pytest.raises(ModelError):
-            tree.predict(np.zeros((2, 3)))
+            forest.predict(np.zeros((2, 3)))
+
+
+class TestOracleIdentity:
+    """Bit-identity with the recursive per-node forests where sums are exact."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_classifier_matches_recursive_forest(self, seed):
+        rng = np.random.default_rng(seed)
+        samples, features = int(rng.integers(2, 300)), int(rng.integers(1, 16))
+        X = rng.integers(0, 2, size=(samples, features)).astype(np.uint8)
+        rule = rng.integers(0, features, size=2)
+        y = ((X[:, rule[0]] & X[:, rule[1]]) | (rng.random(samples) < 0.1)).astype(np.uint8)
+        params = dict(n_estimators=int(rng.integers(1, 6)),
+                      max_depth=int(rng.integers(1, 9)),
+                      min_samples_split=int(rng.integers(2, 10)), max_features=None,
+                      class_weight=(None, "balanced")[seed % 2], seed=seed)
+        expected = RecursiveForestClassifier(**params).fit(X, y).predict_proba(X)
+        actual = RandomForestClassifier(**params).fit(X, y).predict_proba(X)
+        assert np.array_equal(actual, expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_regressor_matches_recursive_forest_on_integer_targets(self, seed, continuous):
+        rng = np.random.default_rng(seed)
+        samples, features = int(rng.integers(2, 250)), int(rng.integers(1, 8))
+        if continuous:      # many distinct values per column
+            X = rng.uniform(-2.0, 2.0, size=(samples, features))
+        else:               # the surrogate's few distinct values per column
+            X = rng.integers(0, 9, size=(samples, features)) * 0.5
+        y = rng.integers(-40, 400, size=samples).astype(np.float64)
+        params = dict(n_estimators=int(rng.integers(1, 6)),
+                      max_depth=int(rng.integers(1, 13)),
+                      min_samples_split=int(rng.integers(2, 6)), seed=seed)
+        probe = np.vstack([X, rng.uniform(-3.0, 5.0, size=(20, features))])
+        expected = RecursiveForestRegressor(**params).fit(X, y).predict_all(probe)
+        actual = RandomForestRegressor(**params).fit(X, y).predict_all(probe)
+        assert np.array_equal(actual, expected)
+
+    def test_classifier_deterministic_across_processes(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        local = _fit_and_predict_classifier(4)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            remote = pool.submit(_fit_and_predict_classifier, 4).result()
+        assert np.array_equal(local, remote)
 
 
 class TestRandomForestRegressor:
