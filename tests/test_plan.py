@@ -10,6 +10,7 @@ through to the wrapped backend untouched.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,35 @@ from repro.utils.phases import collect_phases, phase
 from repro.workloads.generators import uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
+
+#: Report order of the pipeline phases in the ``--timings`` footer.
+CANONICAL_PHASES = ("synthesize", "synth.optimize", "synth.sizing", "synth.sta",
+                    "lower", "pack", "simulate", "score", "schedule.wait")
+
+
+def footer_phase_names(out):
+    """Check the shape of the single ``--timings`` footer in ``out``.
+
+    The footer is ``(timings: <name> <x.xx> s / ... (attributed <x.xx> s))``
+    with the canonical phases first, in pipeline order, and every other
+    span name after them, sorted.  Returns the phase names in order.
+    """
+    footers = [line for line in out.splitlines() if line.startswith("(timings: ")]
+    assert len(footers) == 1, footers
+    match = re.fullmatch(r"\(timings: (.+) \(attributed \d+\.\d\d s\)\)",
+                         footers[0])
+    assert match, footers[0]
+    names = []
+    for part in match.group(1).split(" / "):
+        assert re.fullmatch(r"\S+ \d+\.\d\d s", part), part
+        names.append(part.split(" ")[0])
+    assert len(set(names)) == len(names)
+    canonical = [name for name in names if name in CANONICAL_PHASES]
+    assert names[:len(canonical)] == canonical
+    assert canonical == sorted(canonical, key=CANONICAL_PHASES.index)
+    others = names[len(canonical):]
+    assert others == sorted(others)
+    return names
 
 
 def make_job(quadruple=(4, 0, 0, 2), trace=None, length=200, seed=11,
@@ -351,9 +381,9 @@ class TestPhases:
         exit_code = main(["--width", "16", "--max-designs", "4", "--length", "32",
                           "--backend", "serial", "--timings"])
         assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "(timings: " in out
-        assert "synthesize" in out
+        names = footer_phase_names(capsys.readouterr().out)
+        assert {"synthesize", "synth.optimize", "synth.sizing", "synth.sta",
+                "lower", "simulate", "score"} <= set(names)
 
     def test_runner_cli_timings_footer(self, capsys, tmp_path):
         from repro.experiments.runner import main
@@ -361,5 +391,5 @@ class TestPhases:
                           "--backend", "serial",
                           "--figures", "fig9", "--no-cache", "--timings"])
         assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "(timings: " in out
+        names = footer_phase_names(capsys.readouterr().out)
+        assert {"lower", "simulate"} <= set(names)
