@@ -35,6 +35,7 @@ Two entry points share this module:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -502,13 +503,12 @@ def run_synth_flow_comparison(width: int = 16, max_designs: int = 64,
     quadruples plus the exact baseline x the four default clock points)
     three ways on the serial backend:
 
-    * **reference** — ``REPRO_SYNTH_VECTOR=0`` semantics and no synthesis
-      cache: the per-gate kernels and unspecialised lowering of the
-      previous substrate, the baseline of both speedup bars;
-    * **vector** — the levelised NumPy synthesis kernels and
-      clock-specialised lowering, still synthesizing every design
-      (the cold bar: target ``SYNTH_VECTOR_TARGET``, CI asserts no
-      slower);
+    * **reference** — the per-gate oracle kernels of ``tests/oracles.py``
+      (swapped in by ``oracles.reference_kernels``) and no synthesis
+      cache: the baseline of both speedup bars;
+    * **vector** — the library's levelised NumPy synthesis kernels,
+      still synthesizing every design (the cold bar: target
+      ``SYNTH_VECTOR_TARGET``, CI asserts no slower);
     * **warm synth cache** — vector kernels plus a primed persistent
       synthesis cache: the sweep must synthesize *zero* designs (the
       phase counter is asserted, cold and warm) and clear the
@@ -519,11 +519,13 @@ def run_synth_flow_comparison(width: int = 16, max_designs: int = 64,
     its true cost.
     """
     from repro.explore import DesignSpace, SweepSpec, run_sweep, sweep_clock_plan
+    from repro.obs import trace_run
     from repro.runtime.jobs import clear_design_cache
     from repro.runtime.synth_cache import configure_synth_cache
-    from repro.utils.phases import collect_phases
-    from repro.utils.vector import vector_override
     from repro.workloads.generators import WorkloadSpec
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from oracles import reference_kernels
 
     entries = DesignSpace(width=width).entries(max_designs=max_designs)
     spec = SweepSpec(
@@ -537,14 +539,17 @@ def run_synth_flow_comparison(width: int = 16, max_designs: int = 64,
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-synth-")
     configure_synth_cache(None)
 
+    def synthesized(tracer) -> int:
+        return tracer.phase_totals().get("synthesize", {}).get("calls", 0)
+
     def cold_sweep(vector: bool):
         clear_design_cache()
-        with vector_override(vector):
-            with collect_phases() as phases:
-                started = time.perf_counter()
-                result = run_sweep(spec, backend="serial")
-                elapsed = time.perf_counter() - started
-        return elapsed, result, phases.calls.get("synthesize", 0)
+        kernels = contextlib.nullcontext() if vector else reference_kernels()
+        with kernels, trace_run() as tracer:
+            started = time.perf_counter()
+            result = run_sweep(spec, backend="serial")
+            elapsed = time.perf_counter() - started
+        return elapsed, result, synthesized(tracer)
 
     try:
         # Interleave the two cold paths so host noise hits both equally.
@@ -565,19 +570,17 @@ def run_synth_flow_comparison(width: int = 16, max_designs: int = 64,
         # that must not run the flow at all.
         configure_synth_cache(cache_dir)
         clear_design_cache()
-        with vector_override(True):
-            run_sweep(spec, backend="serial")
+        run_sweep(spec, backend="serial")
         warm_s = float("inf")
         warm = None
         synthesized_warm = 0
         for _ in range(repeats):
             clear_design_cache()
-            with vector_override(True):
-                with collect_phases() as phases:
-                    started = time.perf_counter()
-                    warm = run_sweep(spec, backend="serial")
-                    warm_s = min(warm_s, time.perf_counter() - started)
-            synthesized_warm = phases.calls.get("synthesize", 0)
+            with trace_run() as tracer:
+                started = time.perf_counter()
+                warm = run_sweep(spec, backend="serial")
+                warm_s = min(warm_s, time.perf_counter() - started)
+            synthesized_warm = synthesized(tracer)
             assert synthesized_warm == 0, \
                 f"warm synth-cache sweep synthesized {synthesized_warm} designs"
         assert reference.points == warm.points, \
@@ -617,10 +620,10 @@ def run_telemetry_overhead_comparison(width: int = 16, max_designs: int = 16,
     """Full telemetry vs none on a batched sweep: overhead must stay tiny.
 
     Runs the same batched width-``width`` sweep twice per repeat —
-    tracing off (no ambient tracer, every ``phase()`` is a single
+    tracing off (no ambient tracer, every ``span()`` is a single
     context-variable read) and tracing on (a full ``telemetry_run``
     session with span tracing, the metrics registry, a ``--timings``
-    collector and a manifest written to a throwaway directory) — and
+    tracer and a manifest written to a throwaway directory) — and
     compares best-of wall times.  The results are asserted bit-identical
     and the slowdown must stay within ``TELEMETRY_OVERHEAD_TARGET``
     (2 %): observability has to be cheap enough to leave on.
@@ -628,9 +631,8 @@ def run_telemetry_overhead_comparison(width: int = 16, max_designs: int = 16,
     import numpy as np  # noqa: F811 - keep the section self-contained
 
     from repro.explore import DesignSpace, SweepSpec, sweep_clock_plan
-    from repro.obs import telemetry_run
+    from repro.obs import telemetry_run, trace_run
     from repro.runtime import PlannedBackend, SerialBackend
-    from repro.utils.phases import collect_phases
     from repro.workloads.generators import WorkloadSpec
 
     entries = DesignSpace(width=width).entries(max_designs=max_designs)
@@ -650,7 +652,7 @@ def run_telemetry_overhead_comparison(width: int = 16, max_designs: int = 16,
     def traced(directory):
         with telemetry_run(directory, command="bench-telemetry",
                            config={"jobs": len(jobs)}):
-            with collect_phases():
+            with trace_run():
                 return PlannedBackend(SerialBackend()).run(jobs)
 
     telemetry_dir = tempfile.mkdtemp(prefix="repro-bench-telemetry-")

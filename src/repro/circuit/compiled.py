@@ -151,7 +151,7 @@ def levelise_netlist(netlist) -> Tuple[Dict[str, int], List[int]]:
     """Dense net IDs and per-gate levels of a netlist.
 
     Net IDs follow the shared indexing scheme of the compiled programs
-    and the vectorized STA kernels: ``const0`` = 0, ``const1`` = 1, then
+    and the STA kernels: ``const0`` = 0, ``const1`` = 1, then
     the primary inputs, then every gate output in topological order.
     The returned level list is parallel to
     ``netlist.topological_order()``: inputs and constants sit at level

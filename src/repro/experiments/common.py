@@ -20,6 +20,7 @@ period of the plan.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence
@@ -35,6 +36,7 @@ from repro.runtime import (
     CharacterizationJob,
     DesignCharacterization,
     PlannedBackend,
+    RetryPolicy,
     get_backend,
 )
 from repro.synth.flow import SynthesisOptions
@@ -108,16 +110,16 @@ def _env_cache_limit() -> Optional[float]:
             f"{CACHE_LIMIT_ENV} must be a size in mebibytes, got {value!r}") from None
 
 
-#: Shared backend instances per (backend, workers) pair — keeps the
-#: multiprocess pool (and its per-worker caches) alive between calls.
+#: Shared backend instances per (backend, workers, retry policy) — keeps
+#: the multiprocess pool (and its per-worker caches) alive between calls.
 _BACKEND_INSTANCES: dict = {}
 
-#: Shared execution planners per (backend, workers) pair, each wrapping
-#: the shared raw backend above.
+#: Shared execution planners per backend key, each wrapping the shared
+#: raw backend above.
 _PLANNED_INSTANCES: dict = {}
 
-#: Shared caching wrappers per (backend, workers, cache dir) triple, so
-#: hit/miss counters accumulate over a whole study run.
+#: Shared caching wrappers per backend key and cache dir, so hit/miss
+#: counters accumulate over a whole study run.
 _CACHING_INSTANCES: dict = {}
 
 
@@ -170,12 +172,13 @@ class StudyConfig:
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
-        if self.trace_scale <= 0:
+        if not (math.isfinite(self.trace_scale) and self.trace_scale > 0):
             raise ConfigurationError(
-                f"trace_scale must be positive, got {self.trace_scale}")
-        if self.cache_limit_mb is not None and self.cache_limit_mb <= 0:
+                f"trace_scale must be positive and finite, got {self.trace_scale}")
+        if self.cache_limit_mb is not None and not (
+                math.isfinite(self.cache_limit_mb) and self.cache_limit_mb > 0):
             raise ConfigurationError(
-                f"cache_limit_mb must be positive, got {self.cache_limit_mb}")
+                f"cache_limit_mb must be positive and finite, got {self.cache_limit_mb}")
         for name in ("characterization_length", "training_length", "evaluation_length"):
             if getattr(self, name) < 16:
                 raise ConfigurationError(f"{name} must be at least 16 vectors")
@@ -238,6 +241,9 @@ class StudyConfig:
         Backend instances are shared per (backend, workers) pair so that
         the multiprocess worker pool — and with it the per-worker design
         caches — stays warm across successive characterisation calls.
+        The retry policy the environment names right now is part of the
+        key, so a run under different ``--max-retries`` /
+        ``--task-timeout`` settings never inherits another run's backend.
         Every study schedules through the execution planner
         (:class:`~repro.runtime.PlannedBackend`), which batches jobs
         sharing a design and clock plan bit-identically; with
@@ -246,7 +252,7 @@ class StudyConfig:
         whole study run) — planner *under* cache, so cache entries stay
         per-job and warm runs execute zero jobs.
         """
-        key = (self.backend, self.workers)
+        key = (self.backend, self.workers, RetryPolicy.from_env())
         backend = _BACKEND_INSTANCES.get(key)
         if backend is None:
             backend = _BACKEND_INSTANCES[key] = get_backend(self.backend,

@@ -25,7 +25,6 @@ Example::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -39,10 +38,10 @@ from repro.experiments.fig10_distribution import run_fig10
 from repro.experiments.prediction import run_prediction_study
 from repro.families import family_ids, get_family
 from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
-from repro.runtime import BACKENDS, RETRIES_ENV, TIMEOUT_ENV, CachingBackend
+from repro.obs.trace import trace_run
+from repro.runtime import BACKENDS, CachingBackend, retry_settings
 from repro.runtime.synth_cache import active_synth_cache, configure_synth_cache
 from repro.timing.fast_sim import ENGINES
-from repro.utils.phases import collect_phases
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "is set")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
                         help="transient-failure retries per task, on top of the first "
-                             "attempt (exports $REPRO_MAX_RETRIES; default: "
+                             "attempt (overrides $REPRO_MAX_RETRIES for this run; default: "
                              "$REPRO_MAX_RETRIES or 2)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                         help="per-task wall-clock budget; stalled multiprocess tasks "
                              "are re-dispatched, over-budget serial tasks retried "
-                             "(exports $REPRO_TASK_TIMEOUT; default: "
+                             "(overrides $REPRO_TASK_TIMEOUT for this run; default: "
                              "$REPRO_TASK_TIMEOUT or none)")
     parser.add_argument("--seed", type=int, default=7, help="master random seed")
     parser.add_argument("--timings", action="store_true",
@@ -259,16 +258,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Exports $REPRO_SYNTH_CACHE so multiprocess workers spawned by
         # the backend read through the same on-disk cache.
         configure_synth_cache(arguments.synth_cache_dir)
-    if arguments.max_retries is not None:
-        if arguments.max_retries < 0:
-            parser.error("--max-retries must be non-negative")
-        # Exported like the synthesis cache: backends resolve their
-        # RetryPolicy from the environment, workers inherit it.
-        os.environ[RETRIES_ENV] = str(arguments.max_retries)
-    if arguments.task_timeout is not None:
-        if arguments.task_timeout <= 0:
-            parser.error("--task-timeout must be positive")
-        os.environ[TIMEOUT_ENV] = str(arguments.task_timeout)
+    if arguments.max_retries is not None and arguments.max_retries < 0:
+        parser.error("--max-retries must be non-negative")
+    if arguments.task_timeout is not None and arguments.task_timeout <= 0:
+        parser.error("--task-timeout must be positive")
     overrides = {"simulator": arguments.simulator, "engine": arguments.engine,
                  "seed": arguments.seed}
     if arguments.backend is not None:
@@ -307,11 +300,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "figures": list(arguments.figures),
                                "simulator": arguments.simulator,
                                "engine": arguments.engine,
-                               "scale": arguments.scale}):
+                               "scale": arguments.scale}), \
+            retry_settings(arguments.max_retries, arguments.task_timeout):
         if arguments.timings:
-            with collect_phases() as phases:
+            with trace_run() as tracer:
                 report = run()
-            report += f"\n(timings: {phases.describe()})"
+            report += f"\n(timings: {tracer.describe()})"
         else:
             report = run()
     print(report)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -47,11 +46,11 @@ from repro.explore.checkpoint import resolve_checkpoint_dir
 from repro.explore.sweep import SWEEP_CPR_LEVELS, SweepSpec, run_sweep
 from repro.families import family_ids, get_family
 from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
+from repro.obs.trace import trace_run
 from repro.timing.clocking import ClockPlan
-from repro.runtime import BACKENDS, RETRIES_ENV, TIMEOUT_ENV, CachingBackend
+from repro.runtime import BACKENDS, CachingBackend, retry_settings
 from repro.runtime.synth_cache import active_synth_cache, configure_synth_cache
 from repro.timing.fast_sim import ENGINES
-from repro.utils.phases import collect_phases
 from repro.workloads.generators import GENERATORS, WorkloadSpec
 
 #: Workload generator kinds the sweep may draw stimulus from (the
@@ -130,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "or $REPRO_CHECKPOINT_DIR)")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
                         help="transient-failure retries per task, on top of the first "
-                             "attempt (exports $REPRO_MAX_RETRIES; default: "
+                             "attempt (overrides $REPRO_MAX_RETRIES for this run; default: "
                              "$REPRO_MAX_RETRIES or 2)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                         help="per-task wall-clock budget; stalled multiprocess tasks "
                              "are re-dispatched, over-budget serial tasks retried "
-                             "(exports $REPRO_TASK_TIMEOUT; default: "
+                             "(overrides $REPRO_TASK_TIMEOUT for this run; default: "
                              "$REPRO_TASK_TIMEOUT or none)")
     parser.add_argument("--adaptive", action="store_true",
                         help="surrogate-directed search instead of a sweep: simulate "
@@ -314,13 +313,6 @@ def run_exploration(arguments) -> ExplorationReport:
         # Exports $REPRO_SYNTH_CACHE so multiprocess workers spawned by
         # the backend read through the same on-disk cache.
         configure_synth_cache(arguments.synth_cache_dir)
-    # Resilience knobs export through the environment for the same
-    # reason: backends resolve their RetryPolicy from it at construction,
-    # worker processes inherit it.
-    if arguments.max_retries is not None:
-        os.environ[RETRIES_ENV] = str(arguments.max_retries)
-    if arguments.task_timeout is not None:
-        os.environ[TIMEOUT_ENV] = str(arguments.task_timeout)
     checkpoint_dir = resolve_checkpoint_dir(arguments.checkpoint_dir)
     synth_cache = active_synth_cache()
     synth_baseline = (synth_cache.stats.snapshot()
@@ -446,11 +438,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "adaptive": arguments.adaptive,
                                "workloads": list(arguments.workloads),
                                "length": arguments.length},
-                       inline=arguments.json) as telemetry:
+                       inline=arguments.json) as telemetry, \
+            retry_settings(arguments.max_retries, arguments.task_timeout):
         if arguments.timings:
-            with collect_phases() as phases:
+            with trace_run() as tracer:
                 report = run_exploration(arguments)
-            report.text += f"\n(timings: {phases.describe()})"
+            report.text += f"\n(timings: {tracer.describe()})"
         else:
             report = run_exploration(arguments)
     if arguments.json:

@@ -38,6 +38,7 @@ from repro.core.combination import combine_errors
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import DesignEntry
 from repro.families import family_of
+from repro.obs.trace import span
 from repro.runtime import (
     SIMULATORS,
     CharacterizationJob,
@@ -47,7 +48,6 @@ from repro.runtime import (
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
 from repro.timing.fast_sim import ENGINES
-from repro.utils.phases import phase
 from repro.workloads.generators import WorkloadSpec
 
 #: Default overclocking points of a sweep: the safe period (the frontier
@@ -200,7 +200,7 @@ def score_characterization(characterization: DesignCharacterization,
                            clock_plan: ClockPlan, width: int,
                            workload: str) -> List[SweepPoint]:
     """Score one finished job into its per-CPR sweep points."""
-    with phase("score"):
+    with span("score"):
         return _score_characterization(characterization, clock_plan, width, workload)
 
 

@@ -4,9 +4,9 @@ Four pieces, layered bottom-up:
 
 * :mod:`repro.obs.trace` — hierarchical span tracing with ambient
   context-local activation (:func:`span`, :func:`trace_run`,
-  :class:`Tracer`).  :func:`repro.utils.phases.phase` is an alias of
-  :func:`span`, so the pipeline's existing phase instrumentation feeds
-  the tracer directly.
+  :class:`Tracer`).  The pipeline's phases are spans, and
+  :meth:`Tracer.describe` renders them as the CLIs' ``--timings``
+  footer.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with the same
   ambient activation (:func:`metric_count`, :func:`metrics_run`,
   :class:`MetricsRegistry`).

@@ -3,20 +3,21 @@
 A *span* attributes one timed region — wall seconds plus thread CPU
 seconds — to a name, nested under whatever spans are open in the same
 context: entering ``span("synthesize")`` inside ``span("plan.group")``
-records under the path ``plan.group/synthesize``.  The
-:func:`repro.utils.phases.phase` contextmanager is an alias of
-:func:`span`, so every phase the pipeline already records becomes a
-span for free.
+records under the path ``plan.group/synthesize``.  The pipeline's
+coarse phases (:data:`PHASES`: ``synthesize``, ``lower``, ``pack``,
+``simulate``, ``score`` and their dotted sub-phases) are spans like any
+other; :meth:`Tracer.describe` renders them as the ``--timings`` footer
+of both CLIs.
 
 Activation is ambient and context-local: :func:`trace_run` installs a
 :class:`Tracer` in a :mod:`contextvars` context variable, and
 :func:`span` reads it.  Because the variable is context-local, two
-threads (or two nested ``collect_phases`` blocks) can trace
-concurrently without interleaving each other's stacks — the property
-the future characterization service needs.  More than one tracer may be
-active at once (they stack); every open tracer observes every span, so
-a CLI-level telemetry session and an inner ``--timings`` collector each
-see the full picture.
+threads (or two nested ``trace_run`` blocks) can trace concurrently
+without interleaving each other's stacks — the property the future
+characterization service needs.  More than one tracer may be active at
+once (they stack); every open tracer observes every span, so a
+CLI-level telemetry session and an inner ``--timings`` tracer each see
+the full picture.
 
 When no tracer is active, :func:`span` costs one context-variable read
 and yields immediately — instrumented hot paths pay nothing by default.
@@ -40,6 +41,13 @@ from typing import Dict, Iterator, Optional, Tuple
 #: Every tracer currently observing spans in this context (innermost last).
 _TRACERS: ContextVar[Tuple["Tracer", ...]] = ContextVar("repro_obs_tracers",
                                                         default=())
+
+#: Canonical report order of the pipeline phases (dotted names are
+#: sub-phases nested inside the phase before them; ``schedule.wait`` is
+#: the driver's blocked-on-workers time, overlapping merged worker
+#: phases rather than nesting in one).
+PHASES = ("synthesize", "synth.optimize", "synth.sizing", "synth.sta",
+          "lower", "pack", "simulate", "score", "schedule.wait")
 
 #: Names of the spans currently open in this context (outermost first).
 _STACK: ContextVar[Tuple[str, ...]] = ContextVar("repro_obs_stack", default=())
@@ -98,32 +106,23 @@ class SpanStats:
 class Tracer:
     """Collects spans into per-path aggregates (plus per-worker stats).
 
-    ``sink`` is an optional object with ``add(name, seconds)`` and
-    ``merge(name, seconds, calls)`` methods — in practice a
-    :class:`repro.utils.phases.PhaseTimes` — that receives every span by
-    *leaf name*, which is how the legacy ``--timings`` breakdown keeps
-    working on top of the tracer.
-
     ``workers`` accumulates the spill records of multiprocess workers
     (see :mod:`repro.obs.spill`): per worker pid, the busy seconds, task
     count and span aggregates recorded inside that worker.
     """
 
-    def __init__(self, sink=None) -> None:
-        self.sink = sink
+    def __init__(self) -> None:
         self.spans: Dict[str, SpanStats] = {}
         self.workers: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------ #
     def record(self, name: str, path: str, wall_s: float, cpu_s: float,
                attrs) -> None:
-        """Fold one finished span into the aggregates (and the sink)."""
+        """Fold one finished span into the aggregates."""
         stats = self.spans.get(path)
         if stats is None:
             stats = self.spans[path] = SpanStats(name)
         stats.fold(wall_s, cpu_s, 1, attrs)
-        if self.sink is not None:
-            self.sink.add(name, wall_s)
 
     def merge_span(self, path: str, name: str, wall_s: float, cpu_s: float,
                    calls: int, attrs) -> None:
@@ -132,8 +131,6 @@ class Tracer:
         if stats is None:
             stats = self.spans[path] = SpanStats(name)
         stats.fold(wall_s, cpu_s, calls, attrs)
-        if self.sink is not None:
-            self.sink.merge(name, wall_s, calls)
 
     def merge_spill(self, record: dict) -> None:
         """Fold one worker spill record: global aggregates + per-worker stats."""
@@ -171,12 +168,26 @@ class Tracer:
         """Wall seconds attributed to top-level phases, driver + workers.
 
         Dotted leaf names (``synth.*`` sub-phases, ``schedule.wait``,
-        ``plan.group``) are excluded, exactly like
-        :meth:`repro.utils.phases.PhaseTimes.total` — their time is
-        either nested inside a parent phase or is bookkeeping wait.
+        ``plan.group``) are excluded — their time is either nested
+        inside a parent phase or is bookkeeping wait.
         """
         return sum(record["wall_s"] for name, record in
                    self.phase_totals().items() if "." not in name)
+
+    def describe(self) -> str:
+        """One-line phase breakdown: the ``--timings`` footer body.
+
+        :data:`PHASES` come first in pipeline order, every other leaf
+        name follows sorted, and the closing total is
+        :meth:`attributed_wall_s`.
+        """
+        totals = self.phase_totals()
+        names = [name for name in PHASES if name in totals]
+        names += sorted(name for name in totals if name not in PHASES)
+        if not names:
+            return "no phases recorded"
+        parts = [f"{name} {totals[name]['wall_s']:.2f} s" for name in names]
+        return " / ".join(parts) + f" (attributed {self.attributed_wall_s():.2f} s)"
 
     def snapshot(self) -> dict:
         """JSON-ready view: hierarchical spans, leaf totals, worker stats."""

@@ -82,6 +82,7 @@ from repro.runtime.resilience import (
     RetryPolicy,
     deterministic_jitter,
     retry_calls,
+    retry_settings,
 )
 from repro.runtime.synth_cache import (
     SynthesisCache,
@@ -129,6 +130,7 @@ __all__ = [
     "parse_fault_plan",
     "reset_fault_plan",
     "retry_calls",
+    "retry_settings",
     "run_jobs",
     "synthesize_entry",
     "synthesize_job",

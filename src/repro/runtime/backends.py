@@ -59,6 +59,7 @@ from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
 from repro.obs.metrics import metric_count
 from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
+from repro.obs.trace import span
 from repro.runtime.faultinject import dispatch
 from repro.runtime.resilience import RetryPolicy, retry_calls
 from repro.runtime.jobs import (
@@ -71,7 +72,6 @@ from repro.runtime.jobs import (
     run_timing,
     synthesize_job,
 )
-from repro.utils.phases import phase
 
 #: Names accepted by :func:`get_backend` (and ``StudyConfig.backend``).
 BACKENDS = ("serial", "multiprocess")
@@ -463,7 +463,7 @@ class MultiprocessBackend(Backend):
                 hook()
             retries: List[_PendingCall] = []
             if not broken:
-                with phase("schedule.wait"):
+                with span("schedule.wait"):
                     while unresolved and not broken:
                         done, _ = _wait_futures(set(unresolved),
                                                 timeout=policy.task_timeout,

@@ -29,14 +29,13 @@ import numpy as np
 from repro.core.isa import StructuralFaultStats
 from repro.exceptions import ConfigurationError
 from repro.families import family_of
+from repro.obs.trace import span
 from repro.runtime.synth_cache import active_synth_cache
 from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import ENGINES, FastTimingSimulator
 from repro.utils.lru import LRUDict
-from repro.utils.phases import phase
-from repro.utils.vector import use_vector
 from repro.workloads.traces import OperandTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> runtime)
@@ -151,7 +150,7 @@ def synthesize_entry(entry: "DesignEntry", width: int,
     behavioural configuration with a registered generator, or a ready
     netlist (the exact baselines and all multiplier designs).
     """
-    with phase("synthesize", design=entry.name, width=width):
+    with span("synthesize", design=entry.name, width=width):
         spec = family_of(entry).design_spec(entry, width, options)
         return synthesize(spec, options)
 
@@ -208,20 +207,15 @@ def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "au
     sample (a job's clock plan), the fast simulator is specialised to
     that plan — only the arrival-threshold cone those clocks reach is
     compiled, which is typically an order of magnitude smaller than the
-    general program and bit-identical at the sampled periods.  The
-    specialisation follows the ``REPRO_SYNTH_VECTOR`` toggle so the
-    reference path reproduces the unspecialised lowering.
+    general program and bit-identical at the sampled periods.
     """
-    with phase("lower", simulator=kind, engine=engine,
+    with span("lower", simulator=kind, engine=engine,
                clocks=len(clock_periods) if clock_periods else 0):
         if kind == "event":
             return EventDrivenSimulator(synthesized.netlist, synthesized.annotation)
         if kind == "fast":
-            if clock_periods is not None and use_vector():
-                return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                           engine=engine, clock_periods=clock_periods)
             return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                       engine=engine)
+                                       engine=engine, clock_periods=clock_periods)
     raise ConfigurationError(f"unknown simulator kind {kind!r}")
 
 
@@ -263,7 +257,7 @@ def golden_reference(job: CharacterizationJob, synthesized: SynthesizedDesign):
     """
     trace = job.trace
     family = family_of(job.entry)
-    with phase("simulate", design=job.name, transitions=trace.length):
+    with span("simulate", design=job.name, transitions=trace.length):
         diamond = family.exact_words(job.width, trace.a, trace.b)
         gold, structural_stats = family.golden_words(
             job.entry, job.width, trace.a, trace.b,
@@ -282,7 +276,7 @@ def golden_reference(job: CharacterizationJob, synthesized: SynthesizedDesign):
 
 def run_timing(job: CharacterizationJob, simulator) -> Dict[float, TimingErrorTrace]:
     """Run the job's timing simulation over its (possibly sliced) trace."""
-    with phase("simulate", transitions=job.trace.length,
+    with span("simulate", transitions=job.trace.length,
                clocks=len(job.clock_periods)):
         return simulator.run_trace_multi(job.trace.as_operands(), job.clock_periods,
                                          output_bus=job.output_bus)

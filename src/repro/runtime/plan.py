@@ -54,6 +54,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.families import family_of
 from repro.obs.metrics import metric_count, metric_observe
+from repro.obs.trace import span
 from repro.runtime.backends import Backend, Task, TimingChunkTask, get_backend
 from repro.runtime.cache import trace_digest
 from repro.runtime.jobs import (
@@ -65,7 +66,6 @@ from repro.runtime.jobs import (
 )
 from repro.timing.fast_sim import FastTimingSimulator
 from repro.utils.lru import IdentityMemo, LRUDict
-from repro.utils.phases import phase
 from repro.workloads.traces import OperandTrace
 
 #: Traces whose operand dicts are memoised per object identity, so the
@@ -94,7 +94,7 @@ def build_group_simulator(job: CharacterizationJob,
     job of the group samples exactly these periods, so the compiled
     program only needs their arrival-threshold cone.
     """
-    with phase("lower"):
+    with span("lower"):
         return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
                                    engine=job.engine,
                                    clock_periods=job.clock_periods)
@@ -122,7 +122,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
     bounds = np.cumsum([0] + [trace.length for trace in traces])
 
     family = family_of(job0.entry)
-    with phase("simulate", design=job0.name, jobs=len(jobs),
+    with span("simulate", design=job0.name, jobs=len(jobs),
                transitions=int(bounds[-1])):
         a = np.concatenate([trace.a for trace in traces])
         b = np.concatenate([trace.b for trace in traces])
@@ -144,7 +144,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
         gold = gold_all[low:high]
         structural_stats = None
         if job.collect_structural_stats and not job0.entry.is_exact:
-            with phase("simulate"):
+            with span("simulate"):
                 gold, structural_stats = family.golden_words(
                     job.entry, job.width, job.trace.a, job.trace.b,
                     collect_stats=True)

@@ -33,8 +33,9 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.metrics import metric_count
@@ -138,6 +139,32 @@ class RetryPolicy:
         """
         base = self.backoff_base * self.backoff_factor ** (attempt - 1)
         return base * (0.5 + deterministic_jitter(key, attempt))
+
+
+@contextmanager
+def retry_settings(max_retries: Optional[int],
+                   task_timeout: Optional[float]) -> Iterator[None]:
+    """Export a CLI's ``--max-retries`` / ``--task-timeout`` for one run.
+
+    Backends resolve their policy with :meth:`RetryPolicy.from_env` when
+    they are built, so the settings travel through the environment; the
+    previous values are restored when the block exits, so one in-process
+    run's settings never leak into the next.  ``None`` leaves a variable
+    as it is.
+    """
+    settings = {RETRIES_ENV: max_retries, TIMEOUT_ENV: task_timeout}
+    previous = {name: os.environ.get(name) for name in settings}
+    for name, value in settings.items():
+        if value is not None:
+            os.environ[name] = str(value)
+    try:
+        yield
+    finally:
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def retry_calls(policy: RetryPolicy, calls: Sequence[Tuple[Callable, tuple, str]],

@@ -20,13 +20,13 @@ from repro.circuit.sdf import DelayAnnotation
 from repro.circuit.validate import NetlistReport, check_netlist
 from repro.core.config import ISAConfig
 from repro.exceptions import SynthesisError
+from repro.obs.trace import span
 from repro.synth.adders import ADDER_ARCHITECTURES, carry_lookahead_adder, kogge_stone_adder
 from repro.synth.isa_synth import isa_adder
 from repro.synth.optimize import optimize
 from repro.synth.sizing import SizingOptions, SizingResult, size_to_constraint
 from repro.timing.clocking import PAPER_SAFE_PERIOD
 from repro.timing.sta import TimingReport, analyze_timing
-from repro.utils.phases import phase
 from repro.utils.rng import SeedLike, ensure_rng
 
 DesignSpec = Union[ISAConfig, Netlist]
@@ -157,7 +157,7 @@ def synthesize(design: DesignSpec, options: Optional[SynthesisOptions] = None) -
     library = options.resolved_library()
     netlist, config = _materialise(design, options)
     if options.enable_optimization:
-        with phase("synth.optimize"):
+        with span("synth.optimize"):
             netlist = optimize(netlist)
     netlist_report = check_netlist(netlist)
 
@@ -167,7 +167,7 @@ def synthesize(design: DesignSpec, options: Optional[SynthesisOptions] = None) -
             clock_constraint=options.clock_constraint,
             slack_utilization=options.slack_utilization,
             fixup_iterations=options.fixup_iterations)
-        with phase("synth.sizing"):
+        with span("synth.sizing"):
             sizing_result = size_to_constraint(netlist, library, sizing_options)
         annotation = sizing_result.annotation
     else:
@@ -176,7 +176,7 @@ def synthesize(design: DesignSpec, options: Optional[SynthesisOptions] = None) -
 
     annotation = _apply_variation(netlist, annotation, options.variation_sigma,
                                   options.variation_seed)
-    with phase("synth.sta"):
+    with span("synth.sta"):
         timing_report = analyze_timing(netlist, annotation,
                                        clock_period=options.clock_constraint)
 

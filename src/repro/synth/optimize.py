@@ -6,66 +6,41 @@ unused block carry-outs are still computed).  A synthesis tool would
 sweep all of that away; this module reproduces the two passes that matter
 for the timing behaviour of the paper's designs:
 
-* :func:`propagate_constants` — folds constants through the logic and
+* constant propagation — folds constants through the logic and
   simplifies gates with constant or redundant inputs (an AND with a
   constant-0 speculated carry disappears, a MUX with a constant select
-  becomes a wire, ...).
-* :func:`prune_unused` — removes logic that no primary output depends on
+  becomes a wire, ...);
+* dead-logic pruning — removes logic that no primary output depends on
   (e.g. the carry-out chain of a speculative segment whose COMP block is
   absent).
 
-``optimize`` runs both until the netlist stops shrinking.  By default it
-drives the passes over an integer-indexed in-memory view of the netlist
+``optimize`` runs both until the netlist stops shrinking.  It drives the
+passes over an integer-indexed in-memory view of the netlist
 (:class:`_IndexedDesign`) with path-compressed alias resolution,
 materialising a real :class:`~repro.circuit.netlist.Netlist` only once at
-the end; ``vector=False`` / ``REPRO_SYNTH_VECTOR=0`` selects the original
-netlist-per-pass reference path instead.  Both paths share the
-simplification table and the fresh-name allocator, and produce
-gate-identical netlists (enforced by ``tests/test_synth_vector.py``).
+the end.  The netlist-per-pass reference implementation in
+``tests/oracles.py`` shares the simplification table and the fresh-name
+allocator, and produces gate-identical netlists (enforced by
+``tests/test_synth_vector.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.circuit.netlist import CONST0, CONST1, Gate, Netlist
-from repro.exceptions import NetlistError
-from repro.utils.vector import use_vector
+from repro.circuit.netlist import CONST0, CONST1, Netlist
 
 #: Returned by the simplifier: either a constant, an alias to another net,
 #: or a (possibly rewritten) gate.
 _Simplified = Tuple[str, object]
 
 
-def _resolve(net: str, alias: Dict[str, str]) -> str:
-    """Resolve a net through the alias map, compressing the walked path.
-
-    Deep speculative segments can build long alias chains (a wire of
-    wires of wires); pointing every visited net directly at the root
-    keeps later lookups amortised O(1) instead of O(chain).
-    """
-    root = net
-    while root in alias:
-        root = alias[root]
-    while net != root:
-        alias[net], net = root, alias[net]
-    return root
-
-
-def _const_of(net: str) -> Optional[int]:
-    if net == CONST0:
-        return 0
-    if net == CONST1:
-        return 1
-    return None
-
-
 def _simplify(cell: str, inputs: List[object], values: List[Optional[int]]) -> _Simplified:
     """Simplify one gate given its input tokens and their constant values.
 
-    ``inputs`` are opaque tokens (net names on the reference path, net IDs
-    on the indexed path); ``values[i]`` is 0/1 when token ``i`` is a
-    constant, else ``None``.  Returns ``("const", 0/1)``,
+    ``inputs`` are opaque tokens (net IDs on the indexed path, net names
+    on the reference path of ``tests/oracles.py``); ``values[i]`` is 0/1
+    when token ``i`` is a constant, else ``None``.  Returns ``("const", 0/1)``,
     ``("alias", token)`` or ``("gate", (cell, tokens))`` where a token may
     be wrapped in :class:`_Inverted`.
     """
@@ -232,67 +207,8 @@ def _fresh_inverter_names(gate_name: str, output_net: str, pin: int,
     return fresh_gate, fresh_net
 
 
-def propagate_constants(netlist: Netlist) -> Netlist:
-    """Fold constants and simplify gates, returning a new netlist."""
-    alias: Dict[str, str] = {}
-    new = Netlist(netlist.name)
-    taken_nets = set(netlist.nets)
-    taken_gates = {gate.name for gate in netlist.gates}
-    for net in netlist.inputs:
-        new.add_input(net)
-
-    for gate in netlist.topological_order():
-        resolved = [_resolve(net, alias) for net in gate.inputs]
-        kind, payload = _simplify(gate.cell, resolved,
-                                  [_const_of(net) for net in resolved])
-        if kind == "const":
-            alias[gate.output] = CONST1 if payload else CONST0
-            continue
-        if kind == "alias":
-            alias[gate.output] = _resolve(str(payload), alias)
-            continue
-        cell_name, cell_inputs = payload
-        final_inputs: List[str] = []
-        for net in cell_inputs:
-            if isinstance(net, _Inverted):
-                inv_gate, inv_net = _fresh_inverter_names(
-                    gate.name, gate.output, len(final_inputs),
-                    taken_gates, taken_nets)
-                inverted = new.add_gate(inv_gate, "INV", [net.net], inv_net)
-                final_inputs.append(inverted.output)
-            else:
-                final_inputs.append(net)
-        new.add_gate(gate.name, cell_name, final_inputs, gate.output)
-
-    for net in netlist.outputs:
-        new.add_output(_resolve(net, alias))
-    for bus, nets in netlist.buses.items():
-        new.register_bus(bus, [_resolve(net, alias) for net in nets])
-    return new
-
-
-def prune_unused(netlist: Netlist) -> Netlist:
-    """Remove gates no primary output (transitively) depends on."""
-    needed = set(netlist.outputs)
-    for gate in reversed(netlist.topological_order()):
-        if gate.output in needed:
-            needed.update(gate.inputs)
-
-    new = Netlist(netlist.name)
-    for net in netlist.inputs:
-        new.add_input(net)
-    for gate in netlist.topological_order():
-        if gate.output in needed:
-            new.add_gate(gate.name, gate.cell, list(gate.inputs), gate.output)
-    for net in netlist.outputs:
-        new.add_output(net)
-    for bus, nets in netlist.buses.items():
-        new.register_bus(bus, list(nets))
-    return new
-
-
 # --------------------------------------------------------------------- #
-# Indexed (vectorized) optimisation pipeline
+# Indexed optimisation pipeline
 # --------------------------------------------------------------------- #
 class _IndexedDesign:
     """A netlist lowered to integer net IDs for the in-place passes.
@@ -424,21 +340,8 @@ def _prune_pass(design: _IndexedDesign) -> None:
     design.gates = [record for record, keep in zip(design.gates, kept) if keep]
 
 
-def _optimize_reference(netlist: Netlist, max_passes: int) -> Netlist:
-    current = netlist
-    for _ in range(max_passes):
-        before = current.num_gates
-        current = prune_unused(propagate_constants(current))
-        if current.num_gates >= before:
-            break
-    return current
-
-
-def optimize(netlist: Netlist, max_passes: int = 4,
-             vector: Optional[bool] = None) -> Netlist:
+def optimize(netlist: Netlist, max_passes: int = 4) -> Netlist:
     """Run constant propagation and pruning until the netlist stops shrinking."""
-    if not use_vector(vector):
-        return _optimize_reference(netlist, max_passes)
     design = _IndexedDesign(netlist)
     for _ in range(max_passes):
         before = len(design.gates)

@@ -49,13 +49,13 @@ from repro.circuit.compiled import PackedTimingProgram, rows_to_words, transitio
 from repro.circuit.netlist import CONST0, CONST1, Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import CompilationError, SimulationError
+from repro.obs.trace import span
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.operands import (
     expand_operand_traces,
     expand_operand_traces_interned,
     trace_length,
 )
-from repro.utils.phases import phase
 
 #: Arrival-time value used for nets that do not switch in a cycle.
 STABLE = -np.inf
@@ -248,7 +248,7 @@ class FastTimingSimulator:
         if not operand_traces:
             return BatchedTraceRun(
                 timing=[], settled_values=[] if include_settled_values else None)
-        with phase("pack"):
+        with span("pack"):
             input_traces = [expand_operand_traces_interned(self.netlist, operands)
                             for operands in operand_traces]
         totals = [trace_length(bits) for bits in input_traces]
@@ -343,28 +343,28 @@ class FastTimingSimulator:
         words_per_chunk = max(
             64, _PACKED_CHUNK_BYTES // (8 * per_word_rows * count))
         for start, stop in transition_chunks(max_transitions, words_per_chunk * 64):
-            span = stop - start
-            with phase("pack"):
-                # One stacked (traces, span + 1) 0/1 matrix per net; a
+            cycles = stop - start
+            with span("pack"):
+                # One stacked (traces, cycles + 1) 0/1 matrix per net; a
                 # trace that ends inside the chunk is zero-padded — its
                 # padded columns are evaluated but never decoded.
                 stacked = {}
                 for net in nets:
-                    rows = np.zeros((count, span + 1), dtype=np.uint8)
+                    rows = np.zeros((count, cycles + 1), dtype=np.uint8)
                     for index, bits in enumerate(input_traces):
                         high = min(stop + 1, totals[index])
                         if high > start:
                             rows[index, :high - start] = bits[net][start:high]
                     stacked[net] = rows
-            with phase("simulate"):
+            with span("simulate"):
                 old_values, new_values = program.evaluate_transitions_many(
-                    stacked, span)
+                    stacked, cycles)
                 masks = timing.run_many(old_values ^ new_values, plan=plan)
 
                 old_rows = old_values[out_ids]
                 new_rows = new_values[out_ids]
                 diff_rows = old_rows ^ new_rows
-                settled_chunk = rows_to_words(new_rows, span)
+                settled_chunk = rows_to_words(new_rows, cycles)
                 for index in range(count):
                     valid = min(stop, transitions[index]) - start
                     if valid > 0:
@@ -376,7 +376,7 @@ class FastTimingSimulator:
                     first_cycle[:] = rows_to_words(old_rows[..., :1], 1)[:, 0]
                 for clk in clock_periods:
                     late = masks[late_rows[clk]]
-                    sampled_chunk = rows_to_words(new_rows ^ (diff_rows & late), span)
+                    sampled_chunk = rows_to_words(new_rows ^ (diff_rows & late), cycles)
                     for index in range(count):
                         valid = min(stop, transitions[index]) - start
                         if valid > 0:

@@ -7,15 +7,13 @@ its output net.  The analysis is purely topological — input-pattern
 (dynamic) effects are handled by the simulators in
 :mod:`repro.timing.fast_sim` and :mod:`repro.timing.event_sim`.
 
-Each analysis exists twice: the original per-gate dict passes (the
-reference implementation, selected with ``vector=False`` or
-``REPRO_SYNTH_VECTOR=0``) and a levelised NumPy path over the
-integer-indexed gate tables of :class:`TimingTable` (the default).  The
-two are bit-identical: the array passes perform the same IEEE-754
-operations in a dependency-equivalent order — per-level forward maxima,
-order-independent backward min/max scatters — so every arrival, required
-time and slack matches the reference float for float (enforced by
-``tests/test_synth_vector.py``).
+Every analysis runs as a levelised NumPy pass over the integer-indexed
+gate tables of :class:`TimingTable`.  The passes perform the same
+IEEE-754 operations as a per-gate dict walk in a dependency-equivalent
+order — per-level forward maxima, order-independent backward min/max
+scatters — so every arrival, required time and slack matches the
+per-gate reference kernels in ``tests/oracles.py`` float for float
+(enforced by ``tests/test_synth_vector.py``).
 """
 
 from __future__ import annotations
@@ -27,15 +25,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuit.compiled import levelise_netlist
-from repro.circuit.netlist import CONST0, CONST1, Gate, Netlist
+from repro.circuit.netlist import CONST0, CONST1, Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import TimingError
 from repro.utils.lru import IdentityMemo
-from repro.utils.vector import use_vector
 
 
 # --------------------------------------------------------------------- #
-# Levelised gate tables (shared by the vectorized STA and sizing kernels)
+# Levelised gate tables (shared by the STA and sizing kernels)
 # --------------------------------------------------------------------- #
 class TimingTable:
     """A netlist lowered to integer-indexed, levelised timing tables.
@@ -148,72 +145,13 @@ def timing_table(netlist: Netlist) -> TimingTable:
 
 
 # --------------------------------------------------------------------- #
-# Reference implementations (the executable specification)
+# Public entry points
 # --------------------------------------------------------------------- #
-def _arrival_times_reference(netlist: Netlist,
-                             annotation: DelayAnnotation) -> Dict[str, float]:
-    arrival: Dict[str, float] = {net: 0.0 for net in netlist.inputs}
-    arrival[CONST0] = 0.0
-    arrival[CONST1] = 0.0
-    for gate in netlist.topological_order():
-        delay = annotation.delay_of(gate.name)
-        arrival[gate.output] = delay + max(arrival[net] for net in gate.inputs)
-    return arrival
-
-
-def _required_times_reference(netlist: Netlist, annotation: DelayAnnotation,
-                              clock_period: float) -> Dict[str, float]:
-    required: Dict[str, float] = {net: math.inf for net in netlist.nets}
-    for net in netlist.outputs:
-        required[net] = min(required[net], clock_period)
-    for gate in reversed(netlist.topological_order()):
-        delay = annotation.delay_of(gate.name)
-        budget = required[gate.output] - delay
-        for net in gate.inputs:
-            if budget < required[net]:
-                required[net] = budget
-    return required
-
-
-def _gate_slacks_reference(netlist: Netlist, annotation: DelayAnnotation,
-                           clock_period: float) -> Dict[str, float]:
-    arrival = _arrival_times_reference(netlist, annotation)
-    required = _required_times_reference(netlist, annotation, clock_period)
-    return {gate.name: required[gate.output] - arrival[gate.output]
-            for gate in netlist.gates}
-
-
-def _path_gate_counts_reference(netlist: Netlist) -> Dict[str, int]:
-    forward: Dict[str, int] = {net: 0 for net in netlist.nets}
-    for gate in netlist.topological_order():
-        forward[gate.output] = 1 + max(forward[net] for net in gate.inputs)
-    backward: Dict[str, int] = {net: 0 for net in netlist.nets}
-    output_set = set(netlist.outputs)
-    for gate in reversed(netlist.topological_order()):
-        downstream = backward[gate.output]
-        if gate.output in output_set:
-            downstream = max(downstream, 0)
-        through = downstream + 1
-        for net in gate.inputs:
-            if through > backward[net]:
-                backward[net] = through
-    counts: Dict[str, int] = {}
-    for gate in netlist.gates:
-        counts[gate.name] = forward[gate.output] + backward[gate.output]
-    return counts
-
-
-# --------------------------------------------------------------------- #
-# Public entry points (vector dispatch)
-# --------------------------------------------------------------------- #
-def arrival_times(netlist: Netlist, annotation: DelayAnnotation,
-                  vector: Optional[bool] = None) -> Dict[str, float]:
+def arrival_times(netlist: Netlist, annotation: DelayAnnotation) -> Dict[str, float]:
     """Latest arrival time of every net (primary inputs switch at time 0)."""
-    if not use_vector(vector) or not netlist.num_gates:
-        return _arrival_times_reference(netlist, annotation)
     table = timing_table(netlist)
     values = table.arrival_array(table.delay_array(annotation)).tolist()
-    # Same key order as the reference: inputs, constants, gate outputs.
+    # Key order: inputs, constants, gate outputs.
     arrival = {net: values[table.net_id[net]] for net in netlist.inputs}
     arrival[CONST0] = values[0]
     arrival[CONST1] = values[1]
@@ -223,37 +161,28 @@ def arrival_times(netlist: Netlist, annotation: DelayAnnotation,
 
 
 def required_times(netlist: Netlist, annotation: DelayAnnotation,
-                   clock_period: float,
-                   vector: Optional[bool] = None) -> Dict[str, float]:
+                   clock_period: float) -> Dict[str, float]:
     """Latest allowed arrival of every net for the outputs to meet ``clock_period``."""
-    if not use_vector(vector) or not netlist.num_gates:
-        return _required_times_reference(netlist, annotation, clock_period)
     table = timing_table(netlist)
     values = table.required_array(table.delay_array(annotation), clock_period)
     return dict(zip(table.net_names, values.tolist()))
 
 
 def gate_slacks(netlist: Netlist, annotation: DelayAnnotation,
-                clock_period: float,
-                vector: Optional[bool] = None) -> Dict[str, float]:
+                clock_period: float) -> Dict[str, float]:
     """Slack of every gate instance (required minus arrival at its output)."""
-    if not use_vector(vector) or not netlist.num_gates:
-        return _gate_slacks_reference(netlist, annotation, clock_period)
     table = timing_table(netlist)
     slacks = table.slack_array(table.delay_array(annotation), clock_period)
     return {gate.name: slack
             for gate, slack in zip(table.order, slacks.tolist())}
 
 
-def path_gate_counts(netlist: Netlist,
-                     vector: Optional[bool] = None) -> Dict[str, int]:
+def path_gate_counts(netlist: Netlist) -> Dict[str, int]:
     """Number of gates on the longest input-to-output path through each gate.
 
     Used by the sizing heuristic to split a path's slack fairly among the
     gates that share it.
     """
-    if not use_vector(vector) or not netlist.num_gates:
-        return _path_gate_counts_reference(netlist)
     table = timing_table(netlist)
     return {gate.name: count
             for gate, count in zip(table.order, table.path_counts().tolist())}

@@ -11,15 +11,34 @@
   bit for bit.
 * :func:`all_pairs_nondominated_mask` is the blocked all-pairs dominance
   filter :func:`repro.explore.pareto.nondominated_mask` replaced.
+* The ``*_reference`` synthesis kernels are the per-gate dict passes the
+  levelised NumPy kernels of :mod:`repro.timing.sta`,
+  :mod:`repro.synth.sizing` and :mod:`repro.synth.optimize` replaced:
+  STA (arrival, required, slack, path gate counts), slack-driven sizing
+  and the netlist-per-pass optimizer.  The library must match them
+  exactly — same dict keys in the same order, bit-equal floats,
+  gate-identical netlists — and :func:`reference_kernels` runs the
+  whole synthesis flow on them.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Iterator, List, Optional
+from unittest import mock
 
 import numpy as np
 
+from repro.circuit.library import TechnologyLibrary
+from repro.circuit.netlist import CONST0, CONST1, Netlist
+from repro.circuit.sdf import DelayAnnotation
+from repro.exceptions import TimingError
+from repro.synth import flow
+from repro.synth.optimize import _fresh_inverter_names, _Inverted, _simplify
+from repro.synth.sizing import SizingOptions, SizingResult
+from repro.timing import sta
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
 
 
@@ -272,3 +291,231 @@ def all_pairs_nondominated_mask(values: np.ndarray) -> np.ndarray:
         strictly_better = (values[None, :, :] < block[:, None, :]).any(axis=2)
         mask[start:start + block_rows] = ~(no_worse & strictly_better).any(axis=1)
     return mask
+
+
+# --------------------------------------------------------------------- #
+# Static timing analysis, one gate at a time
+# --------------------------------------------------------------------- #
+def arrival_times_reference(netlist: Netlist,
+                            annotation: DelayAnnotation) -> Dict[str, float]:
+    """Latest arrival of every net (inputs and constants switch at 0)."""
+    arrival: Dict[str, float] = {net: 0.0 for net in netlist.inputs}
+    arrival[CONST0] = 0.0
+    arrival[CONST1] = 0.0
+    for gate in netlist.topological_order():
+        delay = annotation.delay_of(gate.name)
+        arrival[gate.output] = delay + max(arrival[net] for net in gate.inputs)
+    return arrival
+
+
+def required_times_reference(netlist: Netlist, annotation: DelayAnnotation,
+                             clock_period: float) -> Dict[str, float]:
+    """Latest allowed arrival of every net against ``clock_period``."""
+    required: Dict[str, float] = {net: math.inf for net in netlist.nets}
+    for net in netlist.outputs:
+        required[net] = min(required[net], clock_period)
+    for gate in reversed(netlist.topological_order()):
+        delay = annotation.delay_of(gate.name)
+        budget = required[gate.output] - delay
+        for net in gate.inputs:
+            if budget < required[net]:
+                required[net] = budget
+    return required
+
+
+def gate_slacks_reference(netlist: Netlist, annotation: DelayAnnotation,
+                          clock_period: float) -> Dict[str, float]:
+    """Per-gate slack: required minus arrival at the gate's output."""
+    arrival = arrival_times_reference(netlist, annotation)
+    required = required_times_reference(netlist, annotation, clock_period)
+    return {gate.name: required[gate.output] - arrival[gate.output]
+            for gate in netlist.gates}
+
+
+def path_gate_counts_reference(netlist: Netlist) -> Dict[str, int]:
+    """Per-gate length of the longest input-to-output path through it."""
+    forward: Dict[str, int] = {net: 0 for net in netlist.nets}
+    for gate in netlist.topological_order():
+        forward[gate.output] = 1 + max(forward[net] for net in gate.inputs)
+    backward: Dict[str, int] = {net: 0 for net in netlist.nets}
+    for gate in reversed(netlist.topological_order()):
+        through = backward[gate.output] + 1
+        for net in gate.inputs:
+            if through > backward[net]:
+                backward[net] = through
+    return {gate.name: forward[gate.output] + backward[gate.output]
+            for gate in netlist.gates}
+
+
+def _critical_path_delay(netlist: Netlist, annotation: DelayAnnotation) -> float:
+    """The critical path delay :func:`repro.timing.sta.analyze_timing` reports."""
+    annotation.validate_against(netlist)
+    if not netlist.outputs:
+        raise TimingError(f"netlist {netlist.name!r} has no primary outputs")
+    arrival = arrival_times_reference(netlist, annotation)
+    return max(arrival[net] for net in netlist.outputs)
+
+
+# --------------------------------------------------------------------- #
+# Slack-driven sizing, one gate at a time
+# --------------------------------------------------------------------- #
+def size_to_constraint_reference(netlist: Netlist, library: TechnologyLibrary,
+                                 options: SizingOptions,
+                                 initial: Optional[DelayAnnotation] = None
+                                 ) -> SizingResult:
+    """Per-gate allocation and fix-up loops of the sizing heuristic."""
+    annotation = (initial.copy() if initial is not None
+                  else DelayAnnotation.nominal(netlist, library))
+    annotation.clock_constraint = options.clock_constraint
+    nominal_delay = _critical_path_delay(netlist, annotation)
+    nominal_total = annotation.total_delay()
+
+    bounds: Dict[str, tuple] = {}
+    for gate in netlist.gates:
+        timing = library.timing(gate.cell)
+        bounds[gate.name] = (timing.min_delay, timing.max_delay)
+
+    counts = path_gate_counts_reference(netlist)
+    target = options.clock_constraint
+
+    slacks = gate_slacks_reference(netlist, annotation, target)
+    for gate in netlist.gates:
+        slack = slacks[gate.name]
+        share_count = max(counts[gate.name], 1)
+        low, high = bounds[gate.name]
+        delay = annotation.delay_of(gate.name)
+        if slack > options.slack_tolerance:
+            delay = min(delay + options.slack_utilization * slack / share_count, high)
+        elif slack < -options.slack_tolerance:
+            delay = max(delay + slack / share_count, low)
+        annotation.set_delay(gate.name, delay)
+
+    for _ in range(options.fixup_iterations):
+        slacks = gate_slacks_reference(netlist, annotation, target)
+        worst = min(slacks.values()) if slacks else 0.0
+        if worst >= -options.slack_tolerance:
+            break
+        for gate in netlist.gates:
+            slack = slacks[gate.name]
+            if slack >= -options.slack_tolerance:
+                continue
+            low, _ = bounds[gate.name]
+            share_count = max(counts[gate.name], 1)
+            delay = annotation.delay_of(gate.name)
+            annotation.set_delay(gate.name, max(delay + slack / share_count, low))
+
+    sized_delay = _critical_path_delay(netlist, annotation)
+    return SizingResult(
+        annotation=annotation,
+        nominal_critical_path=nominal_delay,
+        sized_critical_path=sized_delay,
+        clock_constraint=target,
+        met_constraint=sized_delay <= target + options.slack_tolerance,
+        nominal_total_delay=nominal_total,
+        sized_total_delay=annotation.total_delay(),
+    )
+
+
+# --------------------------------------------------------------------- #
+# Netlist-per-pass optimizer
+# --------------------------------------------------------------------- #
+def _resolve(net: str, alias: Dict[str, str]) -> str:
+    """Resolve a net through the alias map, compressing the walked path."""
+    root = net
+    while root in alias:
+        root = alias[root]
+    while net != root:
+        alias[net], net = root, alias[net]
+    return root
+
+
+def _const_of(net: str) -> Optional[int]:
+    if net == CONST0:
+        return 0
+    if net == CONST1:
+        return 1
+    return None
+
+
+def propagate_constants(netlist: Netlist) -> Netlist:
+    """Fold constants and simplify gates, returning a new netlist."""
+    alias: Dict[str, str] = {}
+    new = Netlist(netlist.name)
+    taken_nets = set(netlist.nets)
+    taken_gates = {gate.name for gate in netlist.gates}
+    for net in netlist.inputs:
+        new.add_input(net)
+
+    for gate in netlist.topological_order():
+        resolved = [_resolve(net, alias) for net in gate.inputs]
+        kind, payload = _simplify(gate.cell, resolved,
+                                  [_const_of(net) for net in resolved])
+        if kind == "const":
+            alias[gate.output] = CONST1 if payload else CONST0
+            continue
+        if kind == "alias":
+            alias[gate.output] = _resolve(str(payload), alias)
+            continue
+        cell_name, cell_inputs = payload
+        final_inputs: List[str] = []
+        for net in cell_inputs:
+            if isinstance(net, _Inverted):
+                inv_gate, inv_net = _fresh_inverter_names(
+                    gate.name, gate.output, len(final_inputs),
+                    taken_gates, taken_nets)
+                inverted = new.add_gate(inv_gate, "INV", [net.net], inv_net)
+                final_inputs.append(inverted.output)
+            else:
+                final_inputs.append(net)
+        new.add_gate(gate.name, cell_name, final_inputs, gate.output)
+
+    for net in netlist.outputs:
+        new.add_output(_resolve(net, alias))
+    for bus, nets in netlist.buses.items():
+        new.register_bus(bus, [_resolve(net, alias) for net in nets])
+    return new
+
+
+def prune_unused(netlist: Netlist) -> Netlist:
+    """Remove gates no primary output (transitively) depends on."""
+    needed = set(netlist.outputs)
+    for gate in reversed(netlist.topological_order()):
+        if gate.output in needed:
+            needed.update(gate.inputs)
+
+    new = Netlist(netlist.name)
+    for net in netlist.inputs:
+        new.add_input(net)
+    for gate in netlist.topological_order():
+        if gate.output in needed:
+            new.add_gate(gate.name, gate.cell, list(gate.inputs), gate.output)
+    for net in netlist.outputs:
+        new.add_output(net)
+    for bus, nets in netlist.buses.items():
+        new.register_bus(bus, list(nets))
+    return new
+
+
+def optimize_reference(netlist: Netlist, max_passes: int = 4) -> Netlist:
+    """Constant propagation then pruning, until the netlist stops shrinking."""
+    current = netlist
+    for _ in range(max_passes):
+        before = current.num_gates
+        current = prune_unused(propagate_constants(current))
+        if current.num_gates >= before:
+            break
+    return current
+
+
+@contextmanager
+def reference_kernels() -> Iterator[None]:
+    """Run the synthesis flow and STA reports on the oracle kernels.
+
+    Swaps the optimizer and sizing step where :func:`repro.synth.flow.
+    synthesize` looks them up, and the arrival-time pass behind
+    :func:`repro.timing.sta.analyze_timing`, for the ``with`` block.
+    """
+    with mock.patch.object(flow, "optimize", optimize_reference), \
+            mock.patch.object(flow, "size_to_constraint", size_to_constraint_reference), \
+            mock.patch.object(sta, "arrival_times", arrival_times_reference):
+        yield

@@ -1,7 +1,7 @@
 """Unit tests of the observability substrate (:mod:`repro.obs`).
 
-Span nesting and attribute folding, thread-safety and re-entrancy of
-the phase compatibility layer, the metrics registry, worker-spill
+Span nesting and attribute folding, the ``--timings`` footer and the
+thread-safety of context-local tracing, the metrics registry, worker-spill
 records and their driver-side merge, run-manifest round-trips and the
 ``repro-stats`` summaries — all without touching the synthesis or
 simulation pipeline, so these tests are fast and dependency-free.
@@ -36,7 +36,6 @@ from repro.obs import (
 from repro.obs.manifest import TELEMETRY_ENV
 from repro.obs.stats_cli import main as stats_main
 from repro.runtime.faultinject import FAULT_PLAN_ENV
-from repro.utils.phases import PHASES, PhaseTimes, collect_phases, phase
 
 
 @pytest.fixture(autouse=True)
@@ -103,47 +102,37 @@ class TestSpans:
         assert tracer.attributed_wall_s() == pytest.approx(1.0)
 
 
-class TestPhasesCompat:
-    def test_collect_phases_records_names_and_calls(self):
-        with collect_phases() as phases:
-            with phase("synthesize"):
-                with phase("synth.optimize"):
-                    pass
-            with phase("simulate"):
-                pass
-        assert phases.calls == {"synthesize": 1, "synth.optimize": 1,
-                                "simulate": 1}
-        assert "attributed" in phases.describe()
+class TestTimingsFooter:
+    def test_describe_puts_pipeline_phases_first(self):
+        tracer = Tracer()
+        tracer.merge_span("workload", "workload", 0.25, 0.25, 1, {})
+        tracer.merge_span("schedule.wait", "schedule.wait", 5.0, 0.0, 1, {})
+        tracer.merge_span("simulate", "simulate", 2.0, 1.9, 3, {})
+        tracer.merge_span("ml.fit", "ml.fit", 0.5, 0.5, 1, {})
+        tracer.merge_span("synthesize", "synthesize", 1.0, 0.9, 2, {})
+        tracer.merge_span("synthesize/synth.optimize", "synth.optimize",
+                          0.4, 0.4, 2, {})
+        # Pipeline order first, then the other names sorted; dotted
+        # names are listed but not attributed.
+        assert tracer.describe() == (
+            "synthesize 1.00 s / synth.optimize 0.40 s / simulate 2.00 s / "
+            "schedule.wait 5.00 s / ml.fit 0.50 s / workload 0.25 s "
+            "(attributed 3.25 s)")
 
-    def test_total_excludes_dotted_subphases(self):
-        times = PhaseTimes()
-        times.add("synthesize", 1.0)
-        times.add("synth.optimize", 0.4)
-        times.add("schedule.wait", 5.0)
-        assert times.total() == pytest.approx(1.0)
-        assert "schedule.wait" in PHASES
+    def test_describe_without_spans(self):
+        assert Tracer().describe() == "no phases recorded"
 
-    def test_nested_collectors_stack(self):
-        with collect_phases() as outer:
-            with phase("score"):
-                pass
-            with collect_phases() as inner:
-                with phase("simulate"):
-                    pass
-        assert set(outer.seconds) == {"score", "simulate"}
-        assert set(inner.seconds) == {"simulate"}
-
-    def test_collectors_are_thread_local(self):
+    def test_trace_runs_are_thread_local(self):
         errors = []
         barrier = threading.Barrier(2)
 
         def worker(name):
             try:
-                with collect_phases() as phases:
+                with trace_run() as tracer:
                     barrier.wait(timeout=5)
-                    with phase(name):
+                    with span(name):
                         barrier.wait(timeout=5)
-                    assert set(phases.seconds) == {name}, phases.seconds
+                    assert set(tracer.phase_totals()) == {name}, tracer.spans
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -154,13 +143,6 @@ class TestPhasesCompat:
         for thread in threads:
             thread.join()
         assert not errors
-
-    def test_collector_exposes_tracer(self):
-        with collect_phases() as phases:
-            with phase("synthesize"):
-                with phase("synth.sta"):
-                    pass
-        assert "synthesize/synth.sta" in phases.tracer.spans
 
 
 class TestMetrics:
@@ -201,7 +183,7 @@ class TestMetrics:
 class TestSpill:
     def test_spilled_call_writes_record_and_drain_merges(self, tmp_path):
         def task(value):
-            with phase("simulate"):
+            with span("simulate"):
                 pass
             metric_count("jobs.simulated")
             return value * 2
@@ -225,7 +207,7 @@ class TestSpill:
         # The task runs in an empty context: the ambient tracer must not
         # observe the task's spans directly (only through the drain).
         def task():
-            with phase("simulate"):
+            with span("simulate"):
                 pass
 
         with trace_run() as tracer:
@@ -252,7 +234,7 @@ class TestManifests:
     def test_manifest_roundtrip_schema(self, tmp_path):
         with telemetry_run(tmp_path, command="unit-test",
                            config={"width": 16}) as handle:
-            with phase("simulate"):
+            with span("simulate"):
                 pass
             metric_count("jobs.simulated", 2)
             handle.annotate(note="hello")
@@ -276,7 +258,7 @@ class TestManifests:
     def test_nested_sessions_write_one_manifest(self, tmp_path):
         with telemetry_run(tmp_path, command="outer"):
             with telemetry_run(tmp_path, command="inner") as inner:
-                with phase("simulate"):
+                with span("simulate"):
                     pass
             assert not inner.enabled
         manifests = load_manifests(tmp_path)
@@ -331,12 +313,12 @@ class TestManifests:
 class TestStatsCli:
     def _write_runs(self, directory):
         with telemetry_run(directory, command="run_sweep"):
-            with phase("simulate"):
+            with span("simulate"):
                 pass
             metric_count("cache.hits", 3)
             metric_count("cache.misses", 1)
         with telemetry_run(directory, command="run_sweep"):
-            with phase("synthesize"):
+            with span("synthesize"):
                 pass
             metric_count("cache.hits", 4)
 

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import optimize_reference, propagate_constants, prune_unused
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.netlist import Netlist
 from repro.circuit.validate import check_netlist
 from repro.synth.adders import kogge_stone_adder
-from repro.synth.optimize import optimize, propagate_constants, prune_unused
-from repro.utils.vector import vector_override
+from repro.synth.optimize import optimize
+
+#: The library optimizer and its netlist-per-pass oracle.
+OPTIMIZERS = pytest.mark.parametrize("run", [optimize, optimize_reference],
+                                     ids=["library", "oracle"])
+FOLDERS = pytest.mark.parametrize("fold", [optimize, propagate_constants],
+                                  ids=["library", "oracle"])
+PRUNERS = pytest.mark.parametrize("prune", [optimize, prune_unused],
+                                  ids=["library", "oracle"])
 
 
 def _truth_table(netlist, input_names):
@@ -21,43 +29,50 @@ def _truth_table(netlist, input_names):
 
 
 class TestPropagateConstants:
-    def test_and_with_constant_zero_folds(self):
+    # The oracle's constant-propagation pass alone, and the library
+    # optimizer (propagation plus pruning) on the same cases.
+    @FOLDERS
+    def test_and_with_constant_zero_folds(self, fold):
         builder = NetlistBuilder("t")
         a = builder.input_bit("a")
         y = builder.and2(a, builder.zero)
         builder.output_bus("S", [builder.or2(y, a)])
-        optimised = propagate_constants(builder.build())
+        optimised = fold(builder.build())
         # The AND with 0 disappears and the OR simplifies to a wire to "a".
         assert optimised.num_gates == 0
         assert optimised.outputs == ["a"]
 
-    def test_xor_with_constant_one_becomes_inverter(self):
+    @FOLDERS
+    def test_xor_with_constant_one_becomes_inverter(self, fold):
         builder = NetlistBuilder("t")
         a = builder.input_bit("a")
         builder.output_bus("S", [builder.xor2(a, builder.one)])
-        optimised = propagate_constants(builder.build())
+        optimised = fold(builder.build())
         assert optimised.cell_histogram() == {"INV": 1}
 
-    def test_mux_with_constant_select(self):
+    @FOLDERS
+    def test_mux_with_constant_select(self, fold):
         builder = NetlistBuilder("t")
         a, b = builder.input_bit("a"), builder.input_bit("b")
         builder.output_bus("S", [builder.mux2(a, b, builder.one)])
-        optimised = propagate_constants(builder.build())
+        optimised = fold(builder.build())
         assert optimised.num_gates == 0
         assert optimised.outputs == ["b"]
 
-    def test_fully_constant_cone_maps_output_to_constant(self):
+    @FOLDERS
+    def test_fully_constant_cone_maps_output_to_constant(self, fold):
         builder = NetlistBuilder("t")
         builder.input_bit("a")
         builder.output_bus("S", [builder.and2(builder.one, builder.one)])
-        optimised = propagate_constants(builder.build())
+        optimised = fold(builder.build())
         assert optimised.outputs == ["const1"]
 
     @pytest.mark.parametrize("cell,inputs", [
         ("AND3", 3), ("OR3", 3), ("MAJ3", 3), ("AOI21", 3), ("OAI21", 3),
         ("NAND2", 2), ("NOR2", 2), ("XNOR2", 2), ("MUX2", 3),
     ])
-    def test_function_preserved_with_constant_inputs(self, cell, inputs):
+    @FOLDERS
+    def test_function_preserved_with_constant_inputs(self, fold, cell, inputs):
         """Tying any single input to a constant must preserve the boolean function."""
         for constant_position in range(inputs):
             for constant_value in (0, 1):
@@ -72,7 +87,7 @@ class TestPropagateConstants:
                         names.append(name)
                 builder.output_bus("S", [builder.gate(cell, *nets)])
                 original = builder.build()
-                optimised = propagate_constants(original)
+                optimised = fold(original)
                 assert _truth_table(original, names) == _truth_table(optimised, names)
 
 
@@ -99,13 +114,12 @@ def _mux_with_constant_data(taken_net=None, taken_gate=None):
 
 
 class TestInverterExpansionNaming:
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_net_name_collision_gets_fresh_name(self, vector):
+    @OPTIMIZERS
+    def test_net_name_collision_gets_fresh_name(self, run):
         # A primary input already owns the natural inverter net name;
         # expansion must mint a different one instead of colliding.
         netlist = _mux_with_constant_data(taken_net="y_inv_1")
-        with vector_override(vector):
-            optimised = optimize(netlist)
+        optimised = run(netlist)
         assert check_netlist(optimised).ok
         inverters = [g for g in optimised.gates if g.cell == "INV"]
         assert len(inverters) == 1
@@ -113,12 +127,11 @@ class TestInverterExpansionNaming:
         original = _truth_table(netlist, ["a", "s", "y_inv_1"])
         assert original == _truth_table(optimised, ["a", "s", "y_inv_1"])
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_gate_name_collision_gets_fresh_name(self, vector):
+    @OPTIMIZERS
+    def test_gate_name_collision_gets_fresh_name(self, run):
         # Another gate already owns the natural inverter gate name.
         netlist = _mux_with_constant_data(taken_gate="m_inv_1")
-        with vector_override(vector):
-            optimised = optimize(netlist)
+        optimised = run(netlist)
         assert check_netlist(optimised).ok
         minted = [g for g in optimised.gates
                   if g.cell == "INV" and g.output != "m_inv_1_out"]
@@ -127,17 +140,16 @@ class TestInverterExpansionNaming:
         assert _truth_table(netlist, ["a", "s"]) == \
             _truth_table(optimised, ["a", "s"])
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_collision_free_expansion_keeps_natural_names(self, vector):
+    @OPTIMIZERS
+    def test_collision_free_expansion_keeps_natural_names(self, run):
         netlist = _mux_with_constant_data()
-        with vector_override(vector):
-            optimised = optimize(netlist)
+        optimised = run(netlist)
         [inverter] = [g for g in optimised.gates if g.cell == "INV"]
         assert inverter.name == "m_inv_1"
         assert inverter.output == "y_inv_1"
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_deep_alias_chain_resolves(self, vector):
+    @OPTIMIZERS
+    def test_deep_alias_chain_resolves(self, run):
         # A long chain of constant-simplified gates exercises the
         # path-compressed alias resolution.
         netlist = Netlist("t")
@@ -148,26 +160,27 @@ class TestInverterExpansionNaming:
                              f"n{index}")
             previous = f"n{index}"
         netlist.add_output(previous)
-        with vector_override(vector):
-            optimised = optimize(netlist)
+        optimised = run(netlist)
         assert optimised.num_gates == 0
         assert optimised.outputs == ["a"]
 
 
 class TestPruneUnused:
-    def test_removes_dead_cone(self):
+    @PRUNERS
+    def test_removes_dead_cone(self, prune):
         builder = NetlistBuilder("t")
         a, b = builder.input_bit("a"), builder.input_bit("b")
         dead = builder.and2(a, b)
         builder.xor2(dead, a)  # dead cone, never observed
         builder.output_bus("S", [builder.or2(a, b)])
-        pruned = prune_unused(builder.build())
+        pruned = prune(builder.build())
         assert pruned.num_gates == 1
         assert check_netlist(pruned).ok
 
-    def test_keeps_everything_reachable(self):
+    @PRUNERS
+    def test_keeps_everything_reachable(self, prune):
         netlist = kogge_stone_adder(8)
-        assert prune_unused(netlist).num_gates == netlist.num_gates
+        assert prune(netlist).num_gates == netlist.num_gates
 
 
 class TestOptimize:

@@ -30,9 +30,9 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.experiments.designs import exact_entry, isa_entry
+from repro.obs.trace import span, trace_run
 from repro.timing.clocking import ClockPlan
 from repro.timing.fast_sim import FastTimingSimulator
-from repro.utils.phases import collect_phases, phase
 from repro.workloads.generators import uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
@@ -339,21 +339,22 @@ class TestClockSpecialisedSimulator:
 
 
 class TestPhases:
-    def test_phase_noop_without_collector(self):
-        with phase("simulate"):
+    def test_phase_noop_without_tracer(self):
+        with span("simulate"):
             pass  # must not raise or record anywhere
 
-    def test_collect_phases_records(self):
-        with collect_phases() as phases:
-            with phase("simulate"):
+    def test_trace_run_records_phases(self):
+        with trace_run() as tracer:
+            with span("simulate"):
                 pass
-            with phase("score"):
+            with span("score"):
                 pass
-            with phase("simulate"):
+            with span("simulate"):
                 pass
-        assert phases.calls["simulate"] == 2
-        assert phases.calls["score"] == 1
-        text = phases.describe()
+        totals = tracer.phase_totals()
+        assert totals["simulate"]["calls"] == 2
+        assert totals["score"]["calls"] == 1
+        text = tracer.describe()
         assert "simulate" in text and "score" in text
 
     def test_planned_run_attributes_phases(self, monkeypatch):
@@ -363,11 +364,11 @@ class TestPhases:
         from repro.runtime.synth_cache import SYNTH_CACHE_ENV
         monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
         jobs = [make_job(length=80, seed=21), make_job(length=80, seed=22)]
-        with collect_phases() as phases:
+        with trace_run() as tracer:
             PlannedBackend(SerialBackend()).run(jobs)
-        assert phases.seconds.get("synthesize", 0) > 0
-        assert phases.seconds.get("lower", 0) > 0
-        assert phases.seconds.get("simulate", 0) > 0
+        totals = tracer.phase_totals()
+        for name in ("synthesize", "lower", "simulate"):
+            assert totals[name]["wall_s"] > 0
 
     def test_explore_cli_timings_footer(self, capsys, monkeypatch):
         # backend pinned to serial: phases are recorded in the process

@@ -589,6 +589,50 @@ class TestCLIValidation:
         assert detail in capsys.readouterr().err
 
 
+class TestCLIRetrySettings:
+    """``--max-retries`` / ``--task-timeout`` hold for one run only."""
+
+    EXPLORE = ["--width", "8", "--max-designs", "2", "--length", "16",
+               "--backend", "serial", "--no-cache"]
+    RUNNER = ["--scale", "0.02", "--simulator", "fast", "--backend", "serial",
+              "--figures", "fig9", "--no-cache"]
+
+    @pytest.mark.parametrize("cli, argv", [("repro.explore.cli", EXPLORE),
+                                           ("repro.experiments.runner", RUNNER)],
+                             ids=["explore", "runner"])
+    def test_settings_do_not_leak_into_the_next_run(self, cli, argv, monkeypatch,
+                                                    capsys):
+        import importlib
+
+        from repro.experiments.common import StudyConfig, shutdown_backends
+        monkeypatch.delenv(RETRIES_ENV, raising=False)
+        monkeypatch.delenv(TIMEOUT_ENV, raising=False)
+        main = importlib.import_module(cli).main
+        backends = []
+        runtime_backend = StudyConfig.runtime_backend
+
+        def recording(config):
+            backends.append(runtime_backend(config))
+            return backends[-1]
+
+        def policy(backend):
+            while hasattr(backend, "inner"):
+                backend = backend.inner
+            return backend.retry_policy
+
+        monkeypatch.setattr(StudyConfig, "runtime_backend", recording)
+        try:
+            assert main(argv + ["--max-retries", "0", "--task-timeout", "30"]) == 0
+            assert policy(backends[-1]) == RetryPolicy(max_attempts=1, task_timeout=30.0)
+            assert RETRIES_ENV not in os.environ
+            assert TIMEOUT_ENV not in os.environ
+            assert SerialBackend().retry_policy == RetryPolicy()
+            assert main(argv) == 0
+            assert policy(backends[-1]) == RetryPolicy()
+        finally:
+            shutdown_backends()
+
+
 # --------------------------------------------------------------------- #
 # Acceptance: a faulted multi-design sweep is byte-identical and loses
 # no jobs (ISSUE acceptance scenario).

@@ -327,6 +327,29 @@ class TestStudyConfigRuntimeKnobs:
         with pytest.raises(ConfigurationError):
             StudyConfig(workers=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="trace_scale"):
+            StudyConfig(trace_scale=value)
+        with pytest.raises(ConfigurationError, match="cache_limit_mb"):
+            StudyConfig(cache_limit_mb=value)
+        with pytest.raises(ConfigurationError, match="trace_scale|factor"):
+            StudyConfig().scaled_down(value)
+
+    @pytest.mark.parametrize("name, field", [("REPRO_TRACE_SCALE", "trace_scale"),
+                                             ("REPRO_CACHE_LIMIT_MB", "cache_limit_mb")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_env_settings_rejected(self, monkeypatch, name, field, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigurationError, match=field):
+            StudyConfig()
+
+    def test_runner_rejects_non_finite_scale(self):
+        from repro.experiments.runner import main
+        with pytest.raises(ConfigurationError, match="trace_scale"):
+            main(["--scale", "nan", "--simulator", "fast", "--backend", "serial",
+                  "--figures", "fig9", "--no-cache"])
+
     def test_config_backend_drives_characterization(self):
         config = StudyConfig(characterization_length=130, training_length=120,
                              evaluation_length=100, seed=4, simulator="fast", width=16,

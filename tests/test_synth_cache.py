@@ -8,6 +8,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import exact_entry, isa_entry
+from repro.obs.trace import trace_run
 from repro.runtime.jobs import CharacterizationJob, clear_design_cache, synthesize_job
 from repro.runtime.synth_cache import (
     SYNTH_CACHE_ENV,
@@ -19,7 +20,6 @@ from repro.runtime.synth_cache import (
     synth_digest,
 )
 from repro.synth.flow import SynthesisOptions
-from repro.utils.phases import collect_phases
 from repro.workloads.generators import uniform_workload
 
 ENTRY = isa_entry((4, 2, 1, 4), width=16)
@@ -168,18 +168,18 @@ class TestSynthesizeJobReadThrough:
     def test_warm_cache_synthesizes_zero_designs(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
         job = make_job()
-        with collect_phases() as cold:
+        with trace_run() as cold:
             first = synthesize_job(job)
-        assert cold.calls.get("synthesize", 0) == 1
+        assert cold.phase_totals()["synthesize"]["calls"] == 1
 
         # A fresh process is simulated by clearing the in-memory memo;
         # the disk entry must satisfy the request without running the
         # flow at all (the acceptance criterion the benchmark asserts).
         clear_design_cache()
-        with collect_phases() as warm:
+        with trace_run() as warm:
             second = synthesize_job(job)
-        assert warm.calls.get("synthesize", 0) == 0
-        assert warm.calls.get("synth.optimize", 0) == 0
+        assert "synthesize" not in warm.phase_totals()
+        assert "synth.optimize" not in warm.phase_totals()
         assert [g.name for g in second.netlist.gates] == \
             [g.name for g in first.netlist.gates]
         stats = active_synth_cache().stats
@@ -201,9 +201,9 @@ class TestSynthesizeJobReadThrough:
         clear_design_cache()
         other = make_job(trace=uniform_workload(64, width=16, seed=99),
                          clock_periods=(2.7e-10, 3e-10), engine="compiled")
-        with collect_phases() as phases:
+        with trace_run() as tracer:
             synthesize_job(other)
-        assert phases.calls.get("synthesize", 0) == 0
+        assert "synthesize" not in tracer.phase_totals()
         assert active_synth_cache().stats.hits == 1
 
     def test_non_cacheable_job_never_stored(self, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ import pytest
 from repro.explore.cli import main as explore_main
 from repro.explore.space import DesignSpace
 from repro.explore.sweep import SweepSpec, run_sweep, sweep_clock_plan
-from repro.obs import load_manifests, telemetry_run
+from repro.obs import load_manifests, telemetry_run, trace_run
 from repro.obs.stats_cli import main as stats_main
 from repro.runtime import (
     CharacterizationJob,
@@ -33,7 +33,6 @@ from repro.runtime import (
 )
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.timing.clocking import ClockPlan
-from repro.utils.phases import collect_phases
 from repro.workloads.generators import WorkloadSpec, uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
@@ -86,42 +85,45 @@ def multiprocess_pool(workers=2):
 class TestTimingsMerge:
     def test_worker_phases_merged_into_timings(self):
         jobs = small_jobs()
-        with collect_phases() as serial_phases:
+        with trace_run() as serial_tracer:
             serial = run_jobs(jobs, backend="serial", plan=False)
         pool = multiprocess_pool()
         try:
-            with collect_phases() as mp_phases:
+            with trace_run() as mp_tracer:
                 multiprocess = run_jobs(jobs, backend=pool, plan=False)
         finally:
             pool.close()
         for reference, candidate in zip(serial, multiprocess):
             assert_bit_identical(reference, candidate)
+        serial_phases = serial_tracer.phase_totals()
+        mp_phases = mp_tracer.phase_totals()
         # The worker's simulate phases (golden + timing per job) travelled
         # back through the spill files: same call counts as serial.
-        assert mp_phases.calls["simulate"] == serial_phases.calls["simulate"]
-        assert serial_phases.calls["simulate"] == 2 * len(jobs)
+        assert mp_phases["simulate"]["calls"] == serial_phases["simulate"]["calls"]
+        assert serial_phases["simulate"]["calls"] == 2 * len(jobs)
         # The driver's blocked-on-workers time is reported separately and
         # only under the multiprocess backend.
-        assert "schedule.wait" in mp_phases.seconds
-        assert "schedule.wait" not in serial_phases.seconds
-        # Per-worker records were folded into the collector's tracer.
-        assert mp_phases.tracer.workers
-        worker = next(iter(mp_phases.tracer.workers.values()))
+        assert "schedule.wait" in mp_phases
+        assert "schedule.wait" not in serial_phases
+        # Per-worker records were folded into the tracer.
+        assert mp_tracer.workers
+        worker = next(iter(mp_tracer.workers.values()))
         assert worker["tasks"] >= 1
         assert worker["busy_s"] > 0.0
 
     def test_planned_multiprocess_merges_worker_phases(self):
         spec = small_spec()
-        with collect_phases() as phases:
+        with trace_run() as tracer:
             pool = multiprocess_pool()
             try:
                 result = run_sweep(spec, backend=pool)
             finally:
                 pool.close()
         assert result.points
-        assert phases.calls.get("simulate", 0) > 0
-        assert "schedule.wait" in phases.seconds
-        assert phases.tracer.workers
+        phases = tracer.phase_totals()
+        assert phases["simulate"]["calls"] > 0
+        assert "schedule.wait" in phases
+        assert tracer.workers
 
 
 class TestBitIdentity:
