@@ -6,6 +6,8 @@ traces and the fast simulator so the suite stays quick.  The qualitative
 checks mirror the paper's headline observations.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from repro.experiments.designs import (
 from repro.experiments.fig9_rms import fig9_rows_from_characterization, run_fig9
 from repro.experiments.fig10_distribution import run_fig10
 from repro.experiments.prediction import run_prediction_study, study_design
+from repro.experiments.runner import main as experiments_main
+
+GOLDEN_TABLES = Path(__file__).resolve().parent / "goldens" / "paper_tables_scale0.05.txt"
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +203,25 @@ class TestPredictionStudy:
         assert "Fig. 7" in abper_table and "Fig. 8" in avpe_table
         assert "(16,7,0,8)" in abper_table
         assert "exact" in result.to_dict()["5%"]
+
+
+class TestPaperTablesGolden:
+    """The CLI's Fig. 7-10 tables at scale 0.05, byte for byte.
+
+    Regenerate ``goldens/paper_tables_scale0.05.txt`` only for a change
+    that is meant to move the figures::
+
+        PYTHONPATH=src python -m repro.experiments.runner --scale 0.05 \\
+            --simulator fast --no-cache --output tables.txt
+        grep -v "^(regenerated" tables.txt > tests/goldens/paper_tables_scale0.05.txt
+    """
+
+    def test_tables_match_golden(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_TRACE_SCALE", raising=False)
+        output = tmp_path / "tables.txt"
+        assert experiments_main(["--scale", "0.05", "--simulator", "fast", "--no-cache",
+                                 "--output", str(output)]) == 0
+        capsys.readouterr()
+        lines = output.read_text().splitlines(keepends=True)
+        tables = "".join(line for line in lines if not line.startswith("(regenerated"))
+        assert tables == GOLDEN_TABLES.read_text()
