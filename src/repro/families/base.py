@@ -158,11 +158,6 @@ class OperatorFamily(abc.ABC):
         from repro.ml.features import feature_names
         return feature_names(width)
 
-    def feature_matrix(self, trace, gold_words: np.ndarray, bit: int) -> np.ndarray:
-        """Timing-error features of one output bit (paper Section III-A)."""
-        from repro.ml.features import build_feature_matrix
-        return build_feature_matrix(trace, gold_words, bit)
-
     def describe(self) -> str:
         """One-line summary used by CLI help and reports."""
         return f"{self.family_id} (widths 2..{self.max_width})"

@@ -14,7 +14,10 @@ an ensemble together one depth at a time from weighted (node, bin)
 histograms of the bootstrap multiplicities, draws each tree's candidate
 features once per level for that level's nodes in order, stores the
 trees as flat node arrays and predicts with one depth-step walk over
-all trees and rows.  :class:`RandomForestClassifier` splits 0/1 labels
+all trees and rows.  :class:`BitLevelTimingModel` builds one feature
+block per trace (:func:`build_feature_block`: the operand bits once,
+then every output bit's two gold columns) and grows every output bit's
+forest in one stacked fit over it.  :class:`RandomForestClassifier` splits 0/1 labels
 by Gini decrease; :class:`RandomForestRegressor` (:mod:`repro.ml.regress`)
 splits float targets by squared-error decrease — the surrogate the
 adaptive design-space explorer uses to predict sweep scores straight
@@ -23,7 +26,12 @@ from quadruple features.
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.regress import RandomForestRegressor
-from repro.ml.features import FEATURE_DOC, build_feature_matrix, feature_names
+from repro.ml.features import (
+    FEATURE_DOC,
+    build_feature_block,
+    build_feature_matrix,
+    feature_names,
+)
 from repro.ml.dataset import BitDataset, build_bit_datasets, collect_bit_datasets
 from repro.ml.model import BitLevelTimingModel, TimingModelOptions
 from repro.ml.metrics import abper, avpe, classification_summary
@@ -32,6 +40,7 @@ __all__ = [
     "RandomForestClassifier",
     "RandomForestRegressor",
     "FEATURE_DOC",
+    "build_feature_block",
     "build_feature_matrix",
     "feature_names",
     "BitDataset",

@@ -3,7 +3,10 @@
 This module corresponds to the "Data Collection" half of Fig. 3 of the
 paper: pair the operand trace (stimulus) with the golden outputs (RTL
 reference) and the delay-annotated gate-level simulation outcome (timing
-classes at an unsafe clock period), and turn them into one labelled
+classes at an unsafe clock period).  :func:`training_data` turns them
+into one feature block shared by every output bit plus a label matrix,
+which :class:`~repro.ml.model.BitLevelTimingModel` fits in one grow;
+:func:`build_bit_datasets` slices the same block into one labelled
 dataset per output bit.
 
 Collection at scale goes through the execution runtime:
@@ -16,7 +19,7 @@ for many designs parallelises exactly like the figure drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> ml)
     from repro.runtime import CharacterizationJob
 
 from repro.exceptions import ModelError
-from repro.ml.features import build_feature_matrix
+from repro.ml.features import build_feature_block, feature_columns
 from repro.timing.errors import TimingErrorTrace
 from repro.workloads.traces import OperandTrace
 
@@ -54,10 +57,13 @@ class BitDataset:
         return float(self.labels.mean())
 
 
-def build_bit_datasets(trace: OperandTrace, gold_words: np.ndarray,
-                       timing_trace: TimingErrorTrace,
-                       family=None) -> List[BitDataset]:
-    """One :class:`BitDataset` per output bit of the characterized design.
+def training_data(trace: OperandTrace, gold_words: np.ndarray,
+                  timing_trace: TimingErrorTrace) -> Tuple[np.ndarray, np.ndarray]:
+    """Shared feature block and error labels of one measured trace.
+
+    Returns the :func:`~repro.ml.features.build_feature_block` of every
+    output bit of ``timing_trace`` and the ``(transitions, bits)`` 0/1
+    error labels (1 = timing-erroneous).
 
     Parameters
     ----------
@@ -69,26 +75,26 @@ def build_bit_datasets(trace: OperandTrace, gold_words: np.ndarray,
     timing_trace:
         Result of simulating the ``T - 1`` transitions at the unsafe
         clock period under study.
-    family:
-        The design's :class:`~repro.families.base.OperatorFamily`,
-        whose :meth:`~repro.families.base.OperatorFamily.feature_matrix`
-        extracts the per-bit features (default: the paper's
-        :func:`~repro.ml.features.build_feature_matrix`, which every
-        shipped family currently delegates to).
     """
-    gold_words = np.asarray(gold_words, dtype=np.uint64)
     if timing_trace.cycles != trace.transitions:
         raise ModelError(
             f"timing trace has {timing_trace.cycles} transitions but the stimulus "
             f"has {trace.transitions}")
-    featurize = build_feature_matrix if family is None else family.feature_matrix
-    error_bits = timing_trace.error_bits()
-    datasets: List[BitDataset] = []
-    for bit in range(timing_trace.output_width):
-        features = featurize(trace, gold_words, bit)
-        labels = error_bits[:, bit].astype(np.uint8)
-        datasets.append(BitDataset(bit=bit, features=features, labels=labels))
-    return datasets
+    block = build_feature_block(trace, gold_words, timing_trace.output_width)
+    return block, timing_trace.error_bits().astype(np.uint8)
+
+
+def build_bit_datasets(trace: OperandTrace, gold_words: np.ndarray,
+                       timing_trace: TimingErrorTrace) -> List[BitDataset]:
+    """One :class:`BitDataset` per output bit of the characterized design.
+
+    Each bit's features are its columns of the shared block (see
+    :func:`training_data` for the parameters).
+    """
+    block, labels = training_data(trace, gold_words, timing_trace)
+    return [BitDataset(bit=bit, features=block[:, feature_columns(trace.width, bit)],
+                       labels=labels[:, bit])
+            for bit in range(labels.shape[1])]
 
 
 def dataset_summary(datasets: List[BitDataset]) -> Dict[int, float]:
@@ -114,17 +120,14 @@ def collect_bit_datasets(jobs: Sequence["CharacterizationJob"], backend="serial"
     the execution planner — dataset collection for one design over many
     traces is a single stacked simulation.
     """
-    from repro.families import family_of  # deferred: keeps repro.ml importable standalone
-    from repro.runtime import run_jobs
+    from repro.runtime import run_jobs  # deferred: import cycle (runtime -> ml)
 
     results = run_jobs(jobs, backend=backend, workers=workers, cache_dir=cache_dir,
                        plan=plan)
     collected: List[Dict[float, List[BitDataset]]] = []
     for job, characterization in zip(jobs, results):
-        family = family_of(job.entry)
         collected.append({
-            clock: build_bit_datasets(job.trace, characterization.gold_words, timing,
-                                      family=family)
+            clock: build_bit_datasets(job.trace, characterization.gold_words, timing)
             for clock, timing in characterization.timing_traces.items()
         })
     return collected

@@ -9,6 +9,11 @@ where ``x`` is the full input vector (both operands, bit-expanded) and
 ``yRTL_n`` is bit ``n`` of the properly clocked (golden) output.  The two
 output-bit features encode the insight that a latched timing error is
 only observable when the previous and current golden values differ.
+
+The ``x`` columns are the same for every output bit, so
+:func:`build_feature_block` extracts them once per trace and appends
+each bit's two gold columns; :func:`feature_columns` names the columns
+of one bit's features.
 """
 
 from __future__ import annotations
@@ -49,8 +54,15 @@ def feature_names(width: int) -> List[str]:
     return names
 
 
-def build_feature_matrix(trace: OperandTrace, gold_words: np.ndarray, bit: int) -> np.ndarray:
-    """Feature matrix for one output bit over all transitions of a trace.
+def build_feature_block(trace: OperandTrace, gold_words: np.ndarray,
+                        output_width: int) -> np.ndarray:
+    """The 0/1 features of every output bit over a trace, in one block.
+
+    The first ``4 * width`` columns are the operand bits shared by every
+    output bit (``A[t], B[t], A[t-1], B[t-1]``, extracted once); then
+    each output bit ``n < output_width`` contributes its
+    ``yRTL_n[t-1], yRTL_n[t]`` pair, in bit order.  Bit ``n``'s feature
+    matrix is ``block[:, feature_columns(width, n)]``.
 
     Parameters
     ----------
@@ -59,8 +71,8 @@ def build_feature_matrix(trace: OperandTrace, gold_words: np.ndarray, bit: int) 
     gold_words:
         Golden (properly clocked) output of the adder for every vector of
         the trace (length ``T``).
-    bit:
-        Output bit position the classifier is trained for.
+    output_width:
+        Number of output bits whose gold columns the block carries.
     """
     gold_words = np.asarray(gold_words, dtype=np.uint64)
     if gold_words.shape[0] != trace.length:
@@ -69,18 +81,31 @@ def build_feature_matrix(trace: OperandTrace, gold_words: np.ndarray, bit: int) 
     if trace.length < 2:
         raise ModelError("feature extraction needs at least two input vectors")
     width = trace.width
+    operands = extract_bits_matrix(np.concatenate([trace.a, trace.b]), width)
+    a_bits, b_bits = operands[:trace.length], operands[trace.length:]
+    gold_bits = extract_bits_matrix(gold_words, output_width)
 
-    a_bits = extract_bits_matrix(trace.a, width)
-    b_bits = extract_bits_matrix(trace.b, width)
-    gold_bit = ((gold_words >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
+    block = np.empty((trace.transitions, 4 * width + 2 * output_width), dtype=np.uint8)
+    for index, columns in enumerate((a_bits[1:], b_bits[1:], a_bits[:-1], b_bits[:-1])):
+        block[:, index * width:(index + 1) * width] = columns
+    block[:, 4 * width::2] = gold_bits[:-1]
+    block[:, 4 * width + 1::2] = gold_bits[1:]
+    return block
 
-    current = slice(1, None)
-    previous = slice(None, -1)
-    return np.hstack([
-        a_bits[current], b_bits[current],
-        a_bits[previous], b_bits[previous],
-        gold_bit[previous][:, None], gold_bit[current][:, None],
-    ]).astype(np.uint8)
+
+def feature_columns(width: int, bit: int) -> np.ndarray:
+    """Columns of :func:`build_feature_block` that form output bit ``bit``'s features."""
+    return np.append(np.arange(4 * width), [4 * width + 2 * bit, 4 * width + 2 * bit + 1])
+
+
+def build_feature_matrix(trace: OperandTrace, gold_words: np.ndarray, bit: int) -> np.ndarray:
+    """Feature matrix of one output bit over all transitions of a trace.
+
+    The columns follow :func:`feature_names`; see
+    :func:`build_feature_block` for the parameters.
+    """
+    block = build_feature_block(trace, gold_words, bit + 1)
+    return block[:, feature_columns(trace.width, bit)]
 
 
 def feature_count(width: int) -> int:

@@ -3,23 +3,29 @@
 :class:`BitLevelTimingModel` trains one random-forest binary classifier
 per output bit of an adder, at one overclocked period, from a training
 trace whose timing behaviour has been measured by gate-level simulation.
-At prediction time it emits per-bit timing classes and deduces the
-predicted silver (over-clocked) output word by flipping the golden bits
-it believes are timing-erroneous — exactly how the paper converts
-timing-class vectors into arithmetic values for the AVPE metric.
+The forests of all bits whose training labels vary grow together: one
+shared feature block per trace (the operand columns once, then each
+bit's two gold columns) and one stacked
+:meth:`~repro.ml.forest.RandomForestClassifier.fit`, in which each bit's
+trees see only its own features and draw from its own seed, so they
+equal a separate per-bit forest bit for bit.  At prediction time it
+emits per-bit timing classes and deduces the predicted silver
+(over-clocked) output word by flipping the golden bits it believes are
+timing-erroneous — exactly how the paper converts timing-class vectors
+into arithmetic values for the AVPE metric.
 :func:`score_error_matrix` scores one prediction for both metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.ml.dataset import BitDataset, build_bit_datasets
-from repro.ml.features import build_feature_matrix
+from repro.ml.dataset import training_data
+from repro.ml.features import build_feature_block, feature_columns
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import abper, avpe
 from repro.timing.errors import TimingErrorTrace
@@ -38,21 +44,25 @@ class TimingModelOptions:
     class_weight: Optional[str] = None
     seed: Optional[int] = 2017
 
-    def make_classifier(self, bit: int) -> RandomForestClassifier:
-        """Instantiate the classifier for one output bit."""
+    def make_classifier(self, bits: Sequence[int]) -> RandomForestClassifier:
+        """The stacked classifier of ``bits``; bit ``b`` is seeded with ``derive_seed(seed, b)``."""
         return RandomForestClassifier(
             n_estimators=self.n_estimators,
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             max_features=self.max_features,
             class_weight=self.class_weight,
-            seed=derive_seed(self.seed, bit),
+            seed=[derive_seed(self.seed, bit) for bit in bits],
         )
 
 
 @dataclass
 class BitLevelTimingModel:
-    """One trained classifier per output bit for a (design, clock) pair."""
+    """One trained classifier per output bit for a (design, clock) pair.
+
+    Bits whose training labels never vary need no classifier and predict
+    their constant class; the others share one stacked forest.
+    """
 
     design: str
     clock_period: float
@@ -60,8 +70,10 @@ class BitLevelTimingModel:
     options: TimingModelOptions = field(default_factory=TimingModelOptions)
 
     def __post_init__(self) -> None:
-        self._classifiers: Dict[int, RandomForestClassifier] = {}
-        self._constant_bits: Dict[int, int] = {}
+        self._classifier: Optional[RandomForestClassifier] = None
+        self._trained = np.zeros(0, dtype=np.intp)
+        self._constant = np.zeros(self.output_width, dtype=np.uint8)
+        self._input_width: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Training
@@ -73,49 +85,50 @@ class BitLevelTimingModel:
             raise ModelError(
                 f"timing trace has {timing_trace.output_width} output bits, "
                 f"model expects {self.output_width}")
-        datasets = build_bit_datasets(trace, gold_words, timing_trace)
-        self._classifiers.clear()
-        self._constant_bits.clear()
-        for dataset in datasets:
-            self._fit_bit(dataset)
+        block, labels = training_data(trace, gold_words, timing_trace)
+        lowest, highest = labels.min(axis=0), labels.max(axis=0)
+        trained = np.flatnonzero(lowest != highest)
+        classifier = None
+        if trained.size:
+            columns = np.stack([feature_columns(trace.width, bit) for bit in trained])
+            classifier = self.options.make_classifier(trained.tolist())
+            classifier.fit(block, labels[:, trained], columns=columns)
+        # A bit that is always correct (or, pathologically, always wrong)
+        # in training keeps that constant class.
+        self._classifier = classifier
+        self._trained = trained
+        self._constant = np.where(lowest == highest, lowest, 0).astype(np.uint8)
+        self._input_width = trace.width
         return self
-
-    def _fit_bit(self, dataset: BitDataset) -> None:
-        labels = dataset.labels
-        unique = np.unique(labels)
-        if unique.size == 1:
-            # A bit that is always correct (or, pathologically, always wrong)
-            # in training needs no classifier; remember the constant class.
-            self._constant_bits[dataset.bit] = int(unique[0])
-            return
-        classifier = self.options.make_classifier(dataset.bit)
-        classifier.fit(dataset.features, labels)
-        self._classifiers[dataset.bit] = classifier
 
     @property
     def is_fitted(self) -> bool:
         """True once the model has been trained."""
-        return bool(self._classifiers) or bool(self._constant_bits)
+        return self._input_width is not None
 
     @property
     def trained_bits(self) -> List[int]:
         """Bits for which a real classifier (not a constant) was trained."""
-        return sorted(self._classifiers)
+        return self._trained.tolist()
 
     # ------------------------------------------------------------------ #
     # Prediction
     # ------------------------------------------------------------------ #
     def predict_error_matrix(self, trace: OperandTrace, gold_words: np.ndarray) -> np.ndarray:
-        """Predicted timing-error flags, shape (transitions, output_width)."""
+        """Predicted timing-error flags, shape (transitions, output_width).
+
+        The trace must have the training trace's operand width and
+        ``gold_words`` one word per vector of it.
+        """
         if not self.is_fitted:
             raise ModelError("the model must be fitted before predicting")
-        predictions = np.zeros((trace.transitions, self.output_width), dtype=np.uint8)
-        for bit in range(self.output_width):
-            if bit in self._classifiers:
-                features = build_feature_matrix(trace, gold_words, bit)
-                predictions[:, bit] = self._classifiers[bit].predict(features)
-            else:
-                predictions[:, bit] = self._constant_bits.get(bit, 0)
+        if trace.width != self._input_width:
+            raise ModelError(f"the model was trained on {self._input_width}-bit operands, "
+                             f"got a {trace.width}-bit trace")
+        block = build_feature_block(trace, gold_words, self.output_width)
+        predictions = np.tile(self._constant, (trace.transitions, 1))
+        if self._classifier is not None:
+            predictions[:, self._trained] = self._classifier.predict(block)
         return predictions
 
     def predict_timing_classes(self, trace: OperandTrace, gold_words: np.ndarray) -> np.ndarray:
@@ -137,8 +150,8 @@ class BitLevelTimingModel:
 
     def describe(self) -> str:
         """Human-readable summary of the trained model."""
-        constant = len(self._constant_bits)
-        trained = len(self._classifiers)
+        trained = self._trained.size
+        constant = self.output_width - trained if self.is_fitted else 0
         return (f"BitLevelTimingModel[{self.design} @ {self.clock_period * 1e12:.0f} ps]: "
                 f"{trained} trained bits, {constant} constant bits")
 
@@ -149,18 +162,16 @@ def silver_from_errors(gold_words: np.ndarray, errors: np.ndarray) -> np.ndarray
     A predicted timing error on bit ``n`` flips the golden bit, but only
     when the golden bit actually toggles between consecutive cycles — a
     latched stale value can only differ from the golden value in that
-    case (the same observation the feature set encodes).
+    case (the same observation the feature set encodes).  The flags are
+    packed into one word mask per transition, so the flip is
+    ``current ^ ((current ^ previous) & mask)``.
     """
     gold_words = np.asarray(gold_words, dtype=np.uint64)
     current = gold_words[1:]
     previous = gold_words[:-1]
-    silver = current.copy()
-    for bit in range(errors.shape[1]):
-        weight = np.uint64(1 << bit)
-        toggled = ((current ^ previous) >> np.uint64(bit)) & np.uint64(1)
-        flip = (errors[:, bit].astype(np.uint64) & toggled).astype(bool)
-        silver = np.where(flip, silver ^ weight, silver)
-    return silver
+    flags = np.asarray(errors).astype(np.uint64) & np.uint64(1)
+    mask = np.bitwise_or.reduce(flags << np.arange(flags.shape[1], dtype=np.uint64), axis=1)
+    return current ^ ((current ^ previous) & mask)
 
 
 def score_error_matrix(errors: np.ndarray, gold_words: np.ndarray,

@@ -41,7 +41,7 @@ class RandomForestRegressor(BaggedForest):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         samples = X.shape[0]
-        self._grow(SSE, X, y, lambda rng: rng.integers(0, samples, size=samples))
+        self._grow(SSE, X, y, None, lambda _, rng: rng.integers(0, samples, size=samples))
         return self
 
     def predict_all(self, X: np.ndarray) -> np.ndarray:

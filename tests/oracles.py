@@ -9,6 +9,13 @@
   (0/1 labels, integer targets) and no feature subsampling is drawn
   (``max_features=None``) the library must reproduce their predictions
   bit for bit.
+* :class:`PerBitTimingModel` is the bit-level timing model the stacked
+  :class:`repro.ml.model.BitLevelTimingModel` replaced: per-bit
+  feature matrices built bit by bit (:func:`per_bit_features`), one
+  one-output forest fitted and walked per non-constant bit.  The
+  stacked model must reproduce its trees, probabilities and error
+  matrices bit for bit.  :func:`silver_from_errors_loop` is the per-bit
+  flip loop the word-mask ``silver_from_errors`` replaced.
 * :func:`all_pairs_nondominated_mask` is the blocked all-pairs dominance
   filter :func:`repro.explore.pareto.nondominated_mask` replaced.
 * The ``*_reference`` synthesis kernels are the per-gate dict passes the
@@ -34,12 +41,14 @@ import numpy as np
 from repro.circuit.library import TechnologyLibrary
 from repro.circuit.netlist import CONST0, CONST1, Netlist
 from repro.circuit.sdf import DelayAnnotation
-from repro.exceptions import TimingError
+from repro.exceptions import ModelError, TimingError
+from repro.ml.forest import RandomForestClassifier
 from repro.synth import flow
 from repro.synth.optimize import _fresh_inverter_names, _Inverted, _simplify
 from repro.synth.sizing import SizingOptions, SizingResult
 from repro.timing import sta
-from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
+from repro.utils.bitops import extract_bits_matrix
+from repro.utils.rng import SeedLike, derive_seed, ensure_rng, spawn_rngs
 
 
 # --------------------------------------------------------------------- #
@@ -272,6 +281,93 @@ class RecursiveForestRegressor:
 
     def predict_all(self, X) -> np.ndarray:
         return np.stack([tree.predict(X) for tree in self.trees_])
+
+
+# --------------------------------------------------------------------- #
+# Per-bit timing model
+# --------------------------------------------------------------------- #
+def per_bit_features(trace, gold_words, bit: int) -> np.ndarray:
+    """``{A[t], B[t], A[t-1], B[t-1], yRTL_n[t-1], yRTL_n[t]}`` of one bit."""
+    gold_words = np.asarray(gold_words, dtype=np.uint64)
+    if gold_words.shape[0] != trace.length:
+        raise ModelError("gold output length does not match trace length")
+    a_bits = extract_bits_matrix(trace.a, trace.width)
+    b_bits = extract_bits_matrix(trace.b, trace.width)
+    gold_bit = ((gold_words >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
+    return np.hstack([a_bits[1:], b_bits[1:], a_bits[:-1], b_bits[:-1],
+                      gold_bit[:-1, None], gold_bit[1:, None]]).astype(np.uint8)
+
+
+class PerBitTimingModel:
+    """One forest per non-constant output bit, seeded ``derive_seed(seed, bit)``."""
+
+    def __init__(self, output_width: int, options) -> None:
+        self.output_width = output_width
+        self.options = options
+        self.classifiers: Dict[int, RandomForestClassifier] = {}
+        self.constant_bits: Dict[int, int] = {}
+
+    def fit(self, trace, gold_words, timing_trace) -> "PerBitTimingModel":
+        errors = timing_trace.error_bits()
+        for bit in range(self.output_width):
+            labels = errors[:, bit].astype(np.uint8)
+            unique = np.unique(labels)
+            if unique.size == 1:
+                self.constant_bits[bit] = int(unique[0])
+                continue
+            options = self.options
+            classifier = RandomForestClassifier(
+                n_estimators=options.n_estimators, max_depth=options.max_depth,
+                min_samples_split=options.min_samples_split,
+                max_features=options.max_features, class_weight=options.class_weight,
+                seed=derive_seed(options.seed, bit))
+            self.classifiers[bit] = classifier.fit(
+                per_bit_features(trace, gold_words, bit), labels)
+        return self
+
+    def predict_proba(self, trace, gold_words, bit: int) -> np.ndarray:
+        return self.classifiers[bit].predict_proba(per_bit_features(trace, gold_words, bit))
+
+    def predict_error_matrix(self, trace, gold_words) -> np.ndarray:
+        predictions = np.zeros((trace.transitions, self.output_width), dtype=np.uint8)
+        for bit in range(self.output_width):
+            if bit in self.classifiers:
+                predictions[:, bit] = self.classifiers[bit].predict(
+                    per_bit_features(trace, gold_words, bit))
+            else:
+                predictions[:, bit] = self.constant_bits.get(bit, 0)
+        return predictions
+
+
+def tree_structure(flat, tree: int, columns: Optional[np.ndarray] = None):
+    """Tree ``tree`` of a :class:`~repro.ml.forest.FlatForest` as nested tuples.
+
+    A split is ``(feature, threshold, left, right)``, a leaf its value;
+    with ``columns`` a feature is given as its position in ``columns``
+    (a stacked output's local feature index).
+    """
+    def walk(node):
+        if flat.feature[node] < 0:
+            return flat.value[node]
+        feature = int(flat.feature[node])
+        if columns is not None:
+            feature = int(np.searchsorted(columns, feature))
+        return (feature, flat.threshold[node], walk(flat.left[node]), walk(flat.right[node]))
+    return walk(tree)
+
+
+def silver_from_errors_loop(gold_words, errors) -> np.ndarray:
+    """Flip each toggling golden bit flagged as a timing error, one bit at a time."""
+    gold_words = np.asarray(gold_words, dtype=np.uint64)
+    current = gold_words[1:]
+    previous = gold_words[:-1]
+    silver = current.copy()
+    for bit in range(errors.shape[1]):
+        weight = np.uint64(1 << bit)
+        toggled = ((current ^ previous) >> np.uint64(bit)) & np.uint64(1)
+        flip = (errors[:, bit].astype(np.uint64) & toggled).astype(bool)
+        silver = np.where(flip, silver ^ weight, silver)
+    return silver
 
 
 # --------------------------------------------------------------------- #

@@ -5,11 +5,13 @@ recursive per-node forests in ``oracles.py`` pin the learner's output
 bit for bit wherever split sums are exact.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import RecursiveForestClassifier, RecursiveForestRegressor
+from oracles import RecursiveForestClassifier, RecursiveForestRegressor, tree_structure
 from repro.exceptions import ModelError
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.regress import RandomForestRegressor
@@ -267,6 +269,97 @@ class TestOracleIdentity:
         with ProcessPoolExecutor(max_workers=1) as pool:
             remote = pool.submit(_fit_and_predict_classifier, 4).result()
         assert np.array_equal(local, remote)
+
+
+def forest_digest(flat):
+    digest = hashlib.sha256()
+    for name in ("feature", "threshold", "left", "right", "value", "depth", "tree"):
+        digest.update(np.ascontiguousarray(getattr(flat, name)).astype(np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestMultiOutputFit:
+    """A stacked fit grows each output's trees exactly as a one-output fit would."""
+
+    def _data(self, seed=0, samples=300, features=14, outputs=4):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 2, size=(samples, features)).astype(np.uint8)
+        y = np.stack([(X[:, index] & X[:, index + 5]) | (rng.random(samples) < 0.05)
+                      for index in range(outputs)], axis=1).astype(np.uint8)
+        # Output o reads the 10 shared columns plus its own two.
+        columns = np.stack([np.append(np.arange(10), [10 + index % 2, 12 + index % 2])
+                            for index in range(outputs)])
+        return X, y, columns
+
+    @pytest.mark.parametrize("params", [
+        dict(),
+        dict(max_features=None),
+        dict(max_features=5, class_weight="balanced"),
+        dict(n_estimators=1, max_depth=2),
+    ])
+    def test_each_output_equals_its_one_output_forest(self, params):
+        X, y, columns = self._data()
+        params = dict(dict(n_estimators=4, max_depth=6), **params)
+        seeds = [7, 8, 9, 10]
+        stacked = RandomForestClassifier(seed=seeds, **params).fit(X, y, columns=columns)
+        proba = stacked.predict_proba(X)
+        assert proba.shape == (X.shape[0], 4)
+        for output, seed in enumerate(seeds):
+            single = RandomForestClassifier(seed=seed, **params).fit(
+                X[:, columns[output]], y[:, output])
+            for index in range(stacked.n_estimators):
+                assert (tree_structure(stacked.forest_, output * stacked.n_estimators + index,
+                                       columns[output])
+                        == tree_structure(single.forest_, index))
+            assert np.array_equal(proba[:, output],
+                                  single.predict_proba(X[:, columns[output]]))
+        assert np.array_equal(stacked.predict(X), (proba >= 0.5).astype(np.uint8))
+
+    def test_one_column_label_matrix_keeps_its_axis(self):
+        X, y, _ = self._data(outputs=1)
+        forest = RandomForestClassifier(n_estimators=3, seed=[2]).fit(X, y)
+        flat = RandomForestClassifier(n_estimators=3, seed=2).fit(X, y[:, 0])
+        assert forest.predict_proba(X).shape == (X.shape[0], 1)
+        assert np.array_equal(forest.predict_proba(X)[:, 0], flat.predict_proba(X))
+
+    def test_bad_columns_and_seeds_rejected(self):
+        X, y, columns = self._data()
+        forest = RandomForestClassifier(n_estimators=2, seed=[1, 2, 3, 4])
+        for bad in (columns[:3], columns[:, ::-1], columns + X.shape[1],
+                    np.zeros((4, 0), dtype=int)):
+            with pytest.raises(ModelError):
+                forest.fit(X, y, columns=bad)
+        with pytest.raises(ModelError):
+            RandomForestClassifier(n_estimators=2, seed=[1, 2]).fit(X, y, columns=columns)
+        with pytest.raises(ModelError):
+            forest.fit(X, y[:, :0])
+
+
+class TestPinnedForests:
+    """The one-output learner's fitted arrays, pinned from before the stacked fit."""
+
+    def _classifier_data(self):
+        rng = np.random.default_rng(2017)
+        X = rng.integers(0, 2, size=(600, 40)).astype(np.uint8)
+        y = ((X[:, 3] & X[:, 17]) | (rng.random(600) < 0.05)).astype(np.uint8)
+        return X, y, rng
+
+    @pytest.mark.parametrize("params, expected", [
+        (dict(), "ea6ad865ee0a2dec"),
+        (dict(class_weight="balanced"), "0cc6fd97b45c0f1e"),
+        (dict(max_features=None), "9c4a7ea76dee0584"),
+    ])
+    def test_classifier(self, params, expected):
+        X, y, _ = self._classifier_data()
+        forest = RandomForestClassifier(n_estimators=6, max_depth=8, seed=11, **params)
+        assert forest_digest(forest.fit(X, y).forest_) == expected
+
+    def test_regressor(self):
+        _, _, rng = self._classifier_data()
+        X = rng.integers(0, 9, size=(300, 5)).astype(np.float64)
+        y = X[:, 0] * 0.37 + np.sin(X[:, 1]) + rng.normal(0, 0.1, 300)
+        forest = RandomForestRegressor(n_estimators=8, seed=5).fit(X, y)
+        assert forest_digest(forest.forest_) == "6597d6c9258af840"
 
 
 class TestRandomForestRegressor:
