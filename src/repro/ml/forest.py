@@ -280,8 +280,10 @@ def _best_splits(criterion, flat_codes, bins, start, slot, weight, target, candi
                 base += local_layer * (span * width)
             node_features = features[first:last]
             layered = [np.empty((layers, span, columns, width)) for _ in weights]
+            key = np.empty_like(local_slot)
             for column in range(columns):
-                key = node_features[:, column].take(local_slot)
+                # Slots are in range; mode="raise" would buffer ``out``.
+                node_features[:, column].take(local_slot, out=key, mode="clip")
                 key += local_start
                 np.add(base, flat_codes.take(key), out=key)
                 for hist, pair_weight in zip(layered, local_weights):
