@@ -113,7 +113,7 @@ def collect_bit_datasets(jobs: Sequence["CharacterizationJob"], backend="serial"
     clock period of the job the characterisation's golden words and
     timing trace become one :class:`BitDataset` list.  The result is one
     ``{clock_period: [BitDataset, ...]}`` dict per job, in submission
-    order — ready for :meth:`BitLevelTimingModel.fit` at any CPR level.
+    order.
     ``cache_dir`` fronts the backend with the persistent result cache,
     so re-collecting the same jobs skips simulation entirely; ``plan``
     (default on) batches jobs sharing a design and clock plan through
