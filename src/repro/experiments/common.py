@@ -32,95 +32,25 @@ from repro.runtime import (
     BACKENDS,
     SIMULATORS,
     Backend,
-    CachingBackend,
     CharacterizationJob,
     DesignCharacterization,
-    PlannedBackend,
     RetryPolicy,
+    build_stack,
     get_backend,
 )
+from repro.settings import RuntimeSettings
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
 from repro.timing.fast_sim import ENGINES
 from repro.workloads.generators import uniform_workload
 from repro.workloads.traces import OperandTrace
 
-#: Environment variable that scales every default trace length (used by the
-#: benchmark harness to trade fidelity for runtime).  It is read **once**,
-#: when a :class:`StudyConfig` is constructed, into the explicit
-#: ``trace_scale`` field.
-TRACE_SCALE_ENV = "REPRO_TRACE_SCALE"
-
-#: Environment variables selecting the default execution backend and its
-#: worker count (used by CI to run the test suite under every backend).
-BACKEND_ENV = "REPRO_BACKEND"
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable naming the persistent on-disk result cache
-#: directory (empty or unset means no cache); read once at
-#: :class:`StudyConfig` construction into the ``cache_dir`` field.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable bounding the result cache in mebibytes (empty or
-#: unset means unbounded); read once at :class:`StudyConfig`
-#: construction into the ``cache_limit_mb`` field.
-CACHE_LIMIT_ENV = "REPRO_CACHE_LIMIT_MB"
-
-
-def _env_trace_scale() -> float:
-    value = os.environ.get(TRACE_SCALE_ENV, "")
-    if not value:
-        return 1.0
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{TRACE_SCALE_ENV} must be a number (trace-length scale factor), "
-            f"got {value!r}") from None
-
-
-def _env_backend() -> str:
-    return os.environ.get(BACKEND_ENV, "serial")
-
-
-def _env_workers() -> Optional[int]:
-    value = os.environ.get(WORKERS_ENV, "")
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{WORKERS_ENV} must be a positive integer worker count, "
-            f"got {value!r}") from None
-
-
-def _env_cache_dir() -> Optional[str]:
-    return os.environ.get(CACHE_DIR_ENV) or None
-
-
-def _env_cache_limit() -> Optional[float]:
-    value = os.environ.get(CACHE_LIMIT_ENV, "")
-    if not value:
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{CACHE_LIMIT_ENV} must be a size in mebibytes, got {value!r}") from None
-
-
-#: Shared backend instances per (backend, workers, retry policy) — keeps
-#: the multiprocess pool (and its per-worker caches) alive between calls.
-_BACKEND_INSTANCES: dict = {}
-
-#: Shared execution planners per backend key, each wrapping the shared
-#: raw backend above.
-_PLANNED_INSTANCES: dict = {}
-
-#: Shared caching wrappers per backend key and cache dir, so hit/miss
-#: counters accumulate over a whole study run.
-_CACHING_INSTANCES: dict = {}
+#: Shared backend stacks: the raw backend per (backend, workers, retry
+#: policy) — keeping a multiprocess pool and its per-worker caches alive
+#: between calls — and the stack over it per that key plus the result
+#: cache's directory and budget, so hit/miss counters accumulate over a
+#: whole study run.
+_SHARED_BACKENDS: dict = {}
 
 
 def shutdown_backends() -> None:
@@ -130,11 +60,10 @@ def shutdown_backends() -> None:
     the interpreter silently; tests call it directly to assert clean
     pool teardown and to reset the shared-instance registry.
     """
-    for registry in (_CACHING_INSTANCES, _PLANNED_INSTANCES, _BACKEND_INSTANCES):
-        instances = list(registry.values())
-        registry.clear()
-        for backend in instances:
-            backend.close()
+    instances = list(_SHARED_BACKENDS.values())
+    _SHARED_BACKENDS.clear()
+    for backend in instances:
+        backend.close()
 
 
 atexit.register(shutdown_backends)
@@ -151,11 +80,14 @@ class StudyConfig:
     seed: int = 7
     simulator: str = "event"
     engine: str = "auto"
-    backend: str = field(default_factory=_env_backend)
-    workers: Optional[int] = field(default_factory=_env_workers)
-    trace_scale: float = field(default_factory=_env_trace_scale)
-    cache_dir: Optional[str] = field(default_factory=_env_cache_dir)
-    cache_limit_mb: Optional[float] = field(default_factory=_env_cache_limit)
+    backend: str = field(default_factory=lambda: RuntimeSettings.current().backend)
+    workers: Optional[int] = field(default_factory=lambda: RuntimeSettings.current().workers)
+    trace_scale: float = field(
+        default_factory=lambda: RuntimeSettings.current().trace_scale)
+    cache_dir: Optional[str] = field(
+        default_factory=lambda: RuntimeSettings.current().cache_dir)
+    cache_limit_mb: Optional[float] = field(
+        default_factory=lambda: RuntimeSettings.current().cache_limit_mb)
     clock_plan: ClockPlan = field(default_factory=ClockPlan.paper)
     synthesis: SynthesisOptions = field(default_factory=SynthesisOptions)
     model: TimingModelOptions = field(default_factory=TimingModelOptions)
@@ -238,37 +170,30 @@ class StudyConfig:
     def runtime_backend(self) -> Backend:
         """The execution backend this study schedules its jobs on.
 
-        Backend instances are shared per (backend, workers) pair so that
-        the multiprocess worker pool — and with it the per-worker design
-        caches — stays warm across successive characterisation calls.
-        The retry policy the environment names right now is part of the
-        key, so a run under different ``--max-retries`` /
-        ``--task-timeout`` settings never inherits another run's backend.
-        Every study schedules through the execution planner
-        (:class:`~repro.runtime.PlannedBackend`), which batches jobs
-        sharing a design and clock plan bit-identically; with
-        ``cache_dir`` set the planner is fronted by the persistent
-        on-disk result cache (also shared, so hit/miss counters span a
-        whole study run) — planner *under* cache, so cache entries stay
-        per-job and warm runs execute zero jobs.
+        The stack is :func:`~repro.runtime.build_stack`'s — the
+        execution planner over the study's backend, fronted by the
+        persistent result cache when ``cache_dir`` is set — and it is
+        shared: the raw backend per (backend, workers, retry policy), so
+        a multiprocess pool and its per-worker design caches stay warm
+        across characterisation calls, and the stack per that key plus
+        the cache directory and budget, so hit/miss counters span a
+        whole study run.  The retry policy is the current settings'
+        (``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``, or a CLI run's
+        flags), so a run under different retry settings never inherits
+        another run's backend.
         """
-        key = (self.backend, self.workers, RetryPolicy.from_env())
-        backend = _BACKEND_INSTANCES.get(key)
-        if backend is None:
-            backend = _BACKEND_INSTANCES[key] = get_backend(self.backend,
-                                                            workers=self.workers)
-        planned = _PLANNED_INSTANCES.get(key)
-        if planned is None or planned.inner is not backend:
-            planned = _PLANNED_INSTANCES[key] = PlannedBackend(backend)
-        if self.cache_dir is None:
-            return planned
-        cache_key = key + (os.path.abspath(os.path.expanduser(self.cache_dir)),
-                           self.cache_limit_mb)
-        caching = _CACHING_INSTANCES.get(cache_key)
-        if caching is None or caching.inner is not planned:
-            caching = _CACHING_INSTANCES[cache_key] = CachingBackend(
-                planned, self.cache_dir, limit_mb=self.cache_limit_mb)
-        return caching
+        key = (self.backend, self.workers, RetryPolicy.from_settings())
+        inner = _SHARED_BACKENDS.get(key)
+        if inner is None:
+            inner = _SHARED_BACKENDS[key] = get_backend(self.backend, workers=self.workers)
+        cache_dir = (os.path.abspath(os.path.expanduser(self.cache_dir))
+                     if self.cache_dir is not None else None)
+        stack_key = key + (cache_dir, self.cache_limit_mb)
+        stack = _SHARED_BACKENDS.get(stack_key)
+        if stack is None:
+            stack = _SHARED_BACKENDS[stack_key] = build_stack(
+                inner, cache_dir=self.cache_dir, cache_limit_mb=self.cache_limit_mb)
+        return stack
 
 
 def characterize_design(entry: DesignEntry, trace: OperandTrace, config: StudyConfig,

@@ -462,7 +462,7 @@ def select_batch(surrogate: _Surrogate, features: np.ndarray,
 # The active-learning loop
 # --------------------------------------------------------------------- #
 def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = None,
-                 cache_dir: Optional[str] = None, plan: bool = True,
+                 cache_dir: Optional[str] = None,
                  progress: Optional[Callable[[RoundLog], None]] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False) -> AdaptiveResult:
@@ -483,10 +483,8 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     """
     from repro.explore.checkpoint import require_checkpoint_dir
     checkpoint_dir = require_checkpoint_dir(checkpoint_dir, resume)
-    from repro.runtime import CachingBackend, get_backend
-    from repro.runtime.plan import PlannedBackend
-
     from repro.families import get_family
+    from repro.runtime import open_stack
 
     family = get_family(getattr(spec.space, "family", "adder"))
     quadruples = candidate_matrix(spec.space)
@@ -500,14 +498,6 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     surrogate = _Surrogate(spec.space.width, cpr_levels, spec.seed,
                            featurize=family.surrogate_features,
                            feature_names=family.surrogate_feature_names)
-
-    inner = get_backend(backend, workers=workers)
-    owns_inner = inner is not backend
-    resolved = inner
-    if plan and not isinstance(inner, (PlannedBackend, CachingBackend)):
-        resolved = PlannedBackend(resolved)
-    if cache_dir is not None:
-        resolved = CachingBackend(resolved, cache_dir)
 
     remaining = np.ones(candidates, dtype=bool)
     points: List[SweepPoint] = []
@@ -526,7 +516,7 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
 
     def simulate(indices: np.ndarray, include_exact: bool) -> None:
         batch_spec = spec.sweep.with_entries(entries_for(indices, include_exact))
-        result = run_sweep(batch_spec, backend=resolved,
+        result = run_sweep(batch_spec, backend=stack,
                            checkpoint_dir=checkpoint_dir, resume=resume)
         points.extend(result.points)
         remaining[indices] = False
@@ -547,7 +537,7 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
         if progress is not None:
             progress(entry)
 
-    try:
+    with open_stack(backend, workers=workers, cache_dir=cache_dir) as stack:
         # Round 0: strided seed batch (plus the exact baseline anchor).
         seed_count = min(spec.seed_batch or 2 * spec.batch_size, budget)
         seed_indices = np.array(
@@ -570,9 +560,6 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
             simulate(chosen, include_exact=False)
             close_round(round_index, simulated=len(chosen), scored=scored,
                         predicted_frontier=predicted_frontier)
-    finally:
-        if owns_inner:
-            inner.close()
 
     return AdaptiveResult(spec=spec, points=points, rounds=rounds,
                           frontier=frontier, candidates=candidates,

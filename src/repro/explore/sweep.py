@@ -43,6 +43,7 @@ from repro.runtime import (
     SIMULATORS,
     CharacterizationJob,
     DesignCharacterization,
+    open_stack,
     run_jobs,
 )
 from repro.synth.flow import SynthesisOptions
@@ -242,7 +243,7 @@ CHECKPOINT_BATCH = 16
 
 
 def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
-              cache_dir: Optional[str] = None, plan: bool = True,
+              cache_dir: Optional[str] = None,
               telemetry_dir: Optional[str] = None,
               checkpoint_dir: Optional[str] = None, resume: bool = False,
               checkpoint_batch: int = CHECKPOINT_BATCH) -> SweepResult:
@@ -252,16 +253,10 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
     (a caller-supplied instance is left open, mirroring
     :func:`~repro.runtime.run_jobs`); ``cache_dir`` fronts it with the
     persistent result cache so re-running a sweep — or growing it with
-    more designs — only simulates the unseen jobs.
-
-    ``plan`` (default on) schedules the batch through the execution
-    planner: the sweep's (design x clock plan) groups each run as one
-    multi-trace batched evaluation, bit-identical to per-job execution.
-    The planner is inserted *under* a cache built here from
-    ``cache_dir``; a caller-supplied backend that is already a
-    caching/planned stack is used as given.  The stacking (and the
-    ownership of backends constructed from names) is exactly
-    :func:`~repro.runtime.run_jobs`.
+    more designs — only simulates the unseen jobs.  The stack is
+    :func:`~repro.runtime.build_stack`'s: the sweep's (design x clock
+    plan) groups each run as one multi-trace batched evaluation,
+    bit-identical to per-job execution.
 
     ``telemetry_dir`` (or ``$REPRO_TELEMETRY_DIR``) appends one run
     manifest covering the whole sweep — expansion, execution *and*
@@ -278,16 +273,15 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
     an existing journal of the same sweep is discarded first.
     """
     from repro.explore.checkpoint import SweepJournal, require_checkpoint_dir
-    from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
+    from repro.obs.manifest import telemetry_run
     from repro.obs.metrics import metric_count
     resolved_checkpoint = require_checkpoint_dir(checkpoint_dir, resume)
-    with telemetry_run(resolve_telemetry_dir(telemetry_dir),
+    with telemetry_run(telemetry_dir,
                        command="run_sweep",
                        config={"sweep": spec.describe(),
                                "backend": getattr(backend, "name", str(backend)),
                                "workers": workers,
                                "cache_dir": str(cache_dir) if cache_dir else None,
-                               "plan": plan,
                                "checkpoint_dir": resolved_checkpoint,
                                "resume": resume}):
         jobs = spec.jobs()
@@ -297,58 +291,36 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
             # contiguous run of len(entries) jobs.
             return spec.workloads[index // len(spec.entries)].kind
 
-        if resolved_checkpoint is None:
-            characterizations = run_jobs(jobs, backend=backend, workers=workers,
-                                         cache_dir=cache_dir, plan=plan)
-            points: List[SweepPoint] = []
-            for index, characterization in enumerate(characterizations):
-                points.extend(score_characterization(
-                    characterization, spec.clock_plan, spec.width,
-                    workload=workload_of(index)))
-            return SweepResult(spec=spec, points=points)
-
-        from repro.runtime.cache import job_digest
-        digests = [job_digest(job) for job in jobs]
-        journal = SweepJournal.for_spec(resolved_checkpoint, digests)
-        if not resume:
-            journal.clear()
-        completed = journal.load() if resume else {}
-        pending = [index for index, digest in enumerate(digests)
-                   if digest not in completed]
+        journal, completed = None, {}
+        if resolved_checkpoint is not None:
+            from repro.runtime.cache import job_digest
+            digests = [job_digest(job) for job in jobs]
+            journal = SweepJournal.for_spec(resolved_checkpoint, digests)
+            if not resume:
+                journal.clear()
+            journaled = journal.load() if resume else {}
+            completed = {index: journaled[digest] for index, digest in enumerate(digests)
+                         if digest in journaled}
+        pending = [index for index in range(len(jobs)) if index not in completed]
         resumed = len(jobs) - len(pending)
         if resumed:
             metric_count("sweep.jobs_resumed", resumed)
 
-        # One resolved backend stack for every batch, so a worker pool
-        # (and its caches) stays warm across checkpoints; ownership and
-        # stacking mirror run_jobs.
-        from repro.runtime import CachingBackend, get_backend
-        from repro.runtime.plan import PlannedBackend
-        inner = get_backend(backend, workers=workers)
-        owns_inner = inner is not backend
-        resolved = inner
-        if plan and not isinstance(inner, (PlannedBackend, CachingBackend)):
-            resolved = PlannedBackend(resolved)
-        if cache_dir is not None:
-            resolved = CachingBackend(resolved, cache_dir)
-
-        scored: dict = dict(completed)
-        try:
-            for start in range(0, len(pending), max(1, checkpoint_batch)):
-                batch = pending[start:start + max(1, checkpoint_batch)]
+        # One stack for every batch (a single batch without a journal),
+        # so a worker pool and its caches stay warm across checkpoints.
+        batch_size = max(1, checkpoint_batch if journal is not None else len(pending))
+        scored = dict(completed)
+        with open_stack(backend, workers=workers, cache_dir=cache_dir) as stack:
+            for start in range(0, len(pending), batch_size):
+                batch = pending[start:start + batch_size]
                 characterizations = run_jobs([jobs[index] for index in batch],
-                                             backend=resolved, plan=plan)
+                                             backend=stack)
                 for index, characterization in zip(batch, characterizations):
-                    job_points = score_characterization(
+                    scored[index] = score_characterization(
                         characterization, spec.clock_plan, spec.width,
                         workload=workload_of(index))
-                    scored[digests[index]] = job_points
-                    journal.record(digests[index], job_points)
-        finally:
-            if owns_inner:
-                inner.close()
+                    if journal is not None:
+                        journal.record(digests[index], scored[index])
 
-        points = []
-        for digest in digests:
-            points.extend(scored[digest])
+        points = [point for index in range(len(jobs)) for point in scored[index]]
         return SweepResult(spec=spec, points=points, resumed_jobs=resumed)

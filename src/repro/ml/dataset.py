@@ -104,8 +104,7 @@ def dataset_summary(datasets: List[BitDataset]) -> Dict[int, float]:
 
 def collect_bit_datasets(jobs: Sequence["CharacterizationJob"], backend="serial",
                          workers: Optional[int] = None,
-                         cache_dir: Optional[str] = None,
-                         plan: bool = True
+                         cache_dir: Optional[str] = None
                          ) -> List[Dict[float, List[BitDataset]]]:
     """Characterise a batch of jobs and assemble their per-bit datasets.
 
@@ -115,15 +114,14 @@ def collect_bit_datasets(jobs: Sequence["CharacterizationJob"], backend="serial"
     ``{clock_period: [BitDataset, ...]}`` dict per job, in submission
     order.
     ``cache_dir`` fronts the backend with the persistent result cache,
-    so re-collecting the same jobs skips simulation entirely; ``plan``
-    (default on) batches jobs sharing a design and clock plan through
-    the execution planner — dataset collection for one design over many
-    traces is a single stacked simulation.
+    so re-collecting the same jobs skips simulation entirely; jobs
+    sharing a design and clock plan are batched through the execution
+    planner — dataset collection for one design over many traces is a
+    single stacked simulation.
     """
     from repro.runtime import run_jobs  # deferred: import cycle (runtime -> ml)
 
-    results = run_jobs(jobs, backend=backend, workers=workers, cache_dir=cache_dir,
-                       plan=plan)
+    results = run_jobs(jobs, backend=backend, workers=workers, cache_dir=cache_dir)
     collected: List[Dict[float, List[BitDataset]]] = []
     for job, characterization in zip(jobs, results):
         collected.append({

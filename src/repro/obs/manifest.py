@@ -17,11 +17,12 @@ and a CLI wraps both — only the outermost session writes a manifest
 (inner calls see the ambient session and become pass-throughs), so one
 run is one record no matter how many layers it crossed.
 
-Activation is driven by an explicit directory argument or the
-``REPRO_TELEMETRY_DIR`` environment variable
-(:func:`resolve_telemetry_dir`), mirroring the synthesis cache's
-env-activation pattern.  ``inline=True`` builds the manifest without a
-directory (``repro-explore --json`` embeds it in its payload).
+Activation resolves env → code → CLI (:func:`resolve_telemetry_dir`):
+``REPRO_TELEMETRY_DIR`` names the default directory, an explicit
+``telemetry_dir`` argument replaces it, and a CLI's ``--telemetry-dir``
+replaces both for its run; no run changes the process environment.
+``inline=True`` builds the manifest without a directory
+(``repro-explore --json`` embeds it in its payload).
 
 Manifests are additive observation only: they never influence job
 digests, cache keys or results — the regression tests pin that enabling
@@ -42,10 +43,7 @@ from typing import Iterator, List, Optional
 from repro._version import __version__
 from repro.obs.metrics import MetricsRegistry, metrics_run
 from repro.obs.trace import Tracer, trace_run
-
-#: Environment variable naming the telemetry directory; unset or empty
-#: means no manifests are written.
-TELEMETRY_ENV = "REPRO_TELEMETRY_DIR"
+from repro.settings import TELEMETRY_ENV, RuntimeSettings  # noqa: F401 - re-exported
 
 #: File every run manifest is appended to inside the telemetry dir.
 MANIFEST_FILE = "manifests.jsonl"
@@ -63,11 +61,8 @@ _RUN_SEQUENCE = 0
 
 
 def resolve_telemetry_dir(value=None) -> Optional[str]:
-    """The telemetry directory: explicit ``value``, else the environment."""
-    if value:
-        return str(value)
-    env = os.environ.get(TELEMETRY_ENV, "").strip()
-    return env or None
+    """The telemetry directory: explicit ``value``, else the current settings'."""
+    return str(value) if value else RuntimeSettings.current().telemetry_dir
 
 
 def host_facts() -> dict:

@@ -24,7 +24,16 @@ benchmarks all characterise through this runtime; future scaling work
 backend in a :class:`CachingBackend` stores every result in a
 content-addressed on-disk store keyed by the job's full identity, so
 re-runs (and large sharded traces interrupted half-way) reuse finished
-work bit-identically instead of re-simulating it.
+work bit-identically instead of re-simulating it.  :func:`build_stack`
+is the one builder of the stack — result cache over execution planner
+over backend — that ``run_jobs``, ``run_sweep``, ``run_adaptive`` and
+``StudyConfig.runtime_backend`` all schedule on.
+
+Runtime settings (backend, workers, caches, retries, timeout, telemetry,
+fault plan) resolve env → StudyConfig → CLI through
+:mod:`repro.settings` when a run starts; no run changes the process
+environment, and multiprocess workers receive the driver's synthesis
+cache with every call.
 
 Quick start::
 
@@ -44,7 +53,9 @@ from repro.runtime.backends import (
     SerialBackend,
     Task,
     TimingChunkTask,
+    build_stack,
     get_backend,
+    open_stack,
     run_jobs,
 )
 from repro.runtime.cache import (
@@ -76,13 +87,10 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.plan import PlannedBackend, execute_group
 from repro.runtime.resilience import (
-    RETRIES_ENV,
     RETRYABLE_EXCEPTIONS,
-    TIMEOUT_ENV,
     RetryPolicy,
     deterministic_jitter,
     retry_calls,
-    retry_settings,
 )
 from repro.runtime.synth_cache import (
     SynthesisCache,
@@ -90,6 +98,7 @@ from repro.runtime.synth_cache import (
     configure_synth_cache,
     synth_digest,
 )
+from repro.settings import RETRIES_ENV, TIMEOUT_ENV
 
 __all__ = [
     "BACKENDS",
@@ -117,6 +126,7 @@ __all__ = [
     "active_fault_plan",
     "active_synth_cache",
     "build_simulator",
+    "build_stack",
     "clear_design_cache",
     "configure_synth_cache",
     "deterministic_jitter",
@@ -127,10 +137,10 @@ __all__ = [
     "get_backend",
     "job_digest",
     "merge_timing_chunks",
+    "open_stack",
     "parse_fault_plan",
     "reset_fault_plan",
     "retry_calls",
-    "retry_settings",
     "run_jobs",
     "synthesize_entry",
     "synthesize_job",

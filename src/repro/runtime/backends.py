@@ -51,12 +51,13 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit.compiled import WORD_BITS, transition_chunks
 from repro.exceptions import ConfigurationError, TaskTimeoutError
-from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
+from repro.obs.manifest import telemetry_run
 from repro.obs.metrics import metric_count
 from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
 from repro.obs.trace import span
@@ -72,6 +73,7 @@ from repro.runtime.jobs import (
     run_timing,
     synthesize_job,
 )
+from repro.runtime.synth_cache import adopt_synth_cache, synth_cache_spec
 
 #: Names accepted by :func:`get_backend` (and ``StudyConfig.backend``).
 BACKENDS = ("serial", "multiprocess")
@@ -146,6 +148,12 @@ def _whole_job_task(job: CharacterizationJob) -> DesignCharacterization:
     return result
 
 
+def _worker_call(synth_cache, function: Callable, args: tuple):
+    """Run one call in a worker, on the synthesis cache the driver uses."""
+    adopt_synth_cache(synth_cache)
+    return function(*args)
+
+
 def _job_calls(jobs: Sequence[CharacterizationJob]) -> List[Call]:
     return [(_whole_job_task, (job,), f"{job.name}:{index}")
             for index, job in enumerate(jobs)]
@@ -177,8 +185,9 @@ class Backend:
     name = "abstract"
 
     #: The task-level retry policy; concrete backends resolve it from
-    #: the environment at construction (``REPRO_MAX_RETRIES`` /
-    #: ``REPRO_TASK_TIMEOUT``) unless one is passed in.
+    #: the current settings at construction (``REPRO_MAX_RETRIES`` /
+    #: ``REPRO_TASK_TIMEOUT``, or a CLI's ``--max-retries`` /
+    #: ``--task-timeout``) unless one is passed in.
     retry_policy: RetryPolicy = RetryPolicy()
 
     #: Calls run in parallel (the planner splits groups to fill them).
@@ -228,7 +237,7 @@ class SerialBackend(Backend):
 
     def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_env())
+                             else RetryPolicy.from_settings())
 
     def run_calls(self, calls: Sequence[Call],
                   interleave: Optional[Callable[[], None]] = None) -> List[object]:
@@ -273,8 +282,8 @@ class MultiprocessBackend(Backend):
         values are rounded up to the packed word size (64), which keeps
         chunked execution bit-identical to a full-trace run.
     retry_policy:
-        Task-level :class:`RetryPolicy` (default: from the environment —
-        ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
+        Task-level :class:`RetryPolicy` (default: from the current
+        settings — ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
     max_rebuilds:
         Consecutive pool rebuilds without a single completed task before
         the backend degrades to the in-process serial loop (with a
@@ -307,7 +316,7 @@ class MultiprocessBackend(Backend):
         self.workers = workers if workers is not None else cpus
         self.chunk_transitions = chunk_transitions
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_env())
+                             else RetryPolicy.from_settings())
         self.max_rebuilds = max_rebuilds
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
@@ -361,16 +370,20 @@ class MultiprocessBackend(Backend):
     def _submit(self, function: Callable, *args):
         """Submit one call to the pool (created lazily) as a raw future.
 
-        Under active telemetry the worker records its own spans/metrics
-        and spills them for :meth:`drain_telemetry` to merge.
+        The call carries the driver's synthesis cache, so workers read
+        and write the cache the driver uses now, not the one their
+        environment named when they were forked.  Under active
+        telemetry the worker records its own spans/metrics and spills
+        them for :meth:`drain_telemetry` to merge.
         """
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        call = (_worker_call, synth_cache_spec(), function, args)
         if telemetry_active():
             if self._spill_dir is None:
                 self._spill_dir = tempfile.mkdtemp(prefix="repro-obs-spill-")
-            return self._pool.submit(spilled_call, self._spill_dir, function, *args)
-        return self._pool.submit(function, *args)
+            return self._pool.submit(spilled_call, self._spill_dir, *call)
+        return self._pool.submit(*call)
 
     def drain_telemetry(self) -> None:
         """Merge completed workers' spilled spans/metrics into ambient state."""
@@ -593,16 +606,58 @@ def get_backend(backend, workers: Optional[int] = None) -> Backend:
         f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
+def build_stack(backend="serial", workers: Optional[int] = None,
+                cache_dir: Optional[str] = None,
+                cache_limit_mb: Optional[float] = None) -> Backend:
+    """The runtime stack over ``backend``: result cache → planner → backend.
+
+    ``backend`` is a name (built here with ``workers``) or an instance.
+    The planner (:class:`~repro.runtime.PlannedBackend`) groups jobs
+    sharing a design and clock plan into one batched simulation,
+    bit-identically to per-job execution; it slots *under* the result
+    cache built from ``cache_dir``, so cache entries stay per-job and
+    warm batches execute zero jobs.  An instance that already is a
+    planned or caching stack is not planned again — that would route
+    grouped jobs around the caller's cache.
+    """
+    from repro.runtime.cache import CachingBackend  # deferred: cache builds on backends
+    from repro.runtime.plan import PlannedBackend  # deferred: plan builds on backends
+    stack = get_backend(backend, workers=workers)
+    if not isinstance(stack, (PlannedBackend, CachingBackend)):
+        stack = PlannedBackend(stack)
+    if cache_dir is not None:
+        stack = CachingBackend(stack, cache_dir, limit_mb=cache_limit_mb)
+    return stack
+
+
+@contextmanager
+def open_stack(backend="serial", workers: Optional[int] = None,
+               cache_dir: Optional[str] = None) -> Iterator[Backend]:
+    """:func:`build_stack` for one ``with`` block.
+
+    A stack over a backend built here from a *name* (and its worker
+    pool, if any) is closed on exit; a caller-supplied :class:`Backend`
+    is left open, so its pool and per-worker caches stay warm.
+    """
+    stack = build_stack(backend, workers=workers, cache_dir=cache_dir)
+    try:
+        yield stack
+    finally:
+        if not isinstance(backend, Backend):
+            stack.close()
+
+
 def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
              workers: Optional[int] = None,
              cache_dir: Optional[str] = None,
-             plan: bool = True,
              telemetry_dir: Optional[str] = None) -> List[DesignCharacterization]:
     """Run a batch of characterization jobs on the requested backend.
 
-    ``cache_dir`` fronts the backend with the persistent on-disk result
-    cache of :mod:`repro.runtime.cache`: hits skip execution entirely,
-    misses run on the backend and are persisted for the next call.
+    The batch runs on :func:`build_stack`: the execution planner over
+    ``backend``, fronted by the persistent result cache of
+    :mod:`repro.runtime.cache` when ``cache_dir`` is given (hits skip
+    execution entirely, misses run and are persisted for the next
+    call).
 
     ``telemetry_dir`` (or ``$REPRO_TELEMETRY_DIR``) appends a run
     manifest — phases, spans, worker utilisation, metrics — to the
@@ -610,41 +665,16 @@ def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
     telemetry session is already active (a CLI, or ``run_sweep``), the
     batch is observed by it and no extra manifest is written.
 
-    ``plan`` (default on) routes the batch through the execution planner
-    of :mod:`repro.runtime.plan`: jobs sharing a design and clock plan
-    are grouped and simulated as one multi-trace batch, bit-identically
-    to per-job execution.  The planner slots *under* the cache, so cache
-    entries stay per-job and warm batches still execute zero jobs; pass
-    ``plan=False`` to schedule every job individually (the reference
-    path the planner is benchmarked against).
-
     This is the one-shot convenience entry point: a backend constructed
     here from a *name* (and its worker pool, if any) is closed before
     returning.  To keep a pool and its per-worker caches warm across
     batches, pass a :class:`Backend` instance you own — it is left
     open — or schedule through ``StudyConfig.runtime_backend()``.
     """
-    inner = get_backend(backend, workers=workers)
-    owns_inner = inner is not backend  # constructed here, not caller-supplied
-    resolved = inner
-    # A caller-supplied caching or planned stack is used as given —
-    # wrapping it in another planner would route grouped jobs around
-    # the caller's cache (or double-plan).
-    from repro.runtime.cache import CachingBackend  # deferred: cache builds on backends
-    from repro.runtime.plan import PlannedBackend  # deferred: plan builds on backends
-    if plan and not isinstance(inner, (PlannedBackend, CachingBackend)):
-        resolved = PlannedBackend(resolved)
-    if cache_dir is not None:
-        resolved = CachingBackend(resolved, cache_dir)
     jobs = list(jobs)
-    with telemetry_run(resolve_telemetry_dir(telemetry_dir),
-                       command="run_jobs",
-                       config={"backend": resolved.describe(),
-                               "jobs": len(jobs),
-                               "cache_dir": str(cache_dir) if cache_dir else None,
-                               "plan": plan}):
-        try:
-            return resolved.run(jobs)
-        finally:
-            if owns_inner:
-                inner.close()
+    with telemetry_run(telemetry_dir, command="run_jobs",
+                       config={"jobs": len(jobs),
+                               "cache_dir": str(cache_dir) if cache_dir else None}) \
+            as telemetry, open_stack(backend, workers, cache_dir) as stack:
+        telemetry.config["backend"] = stack.describe()
+        return stack.run(jobs)

@@ -50,6 +50,7 @@ chunks of one sharded job into a single multi-trace evaluation.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -171,9 +172,9 @@ class CachingBackend(Backend):
         if shard_transitions is not None and shard_transitions < 1:
             raise ConfigurationError(
                 f"shard_transitions must be at least 1, got {shard_transitions}")
-        if limit_mb is not None and limit_mb <= 0:
+        if limit_mb is not None and not (math.isfinite(limit_mb) and limit_mb > 0):
             raise ConfigurationError(
-                f"cache limit_mb must be positive, got {limit_mb}")
+                f"cache limit_mb must be positive and finite, got {limit_mb}")
         self.inner = get_backend(inner)
         self.stats = CacheStats()
         limit_bytes = None if limit_mb is None else max(int(limit_mb * 1024 * 1024), 1)

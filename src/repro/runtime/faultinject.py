@@ -5,7 +5,9 @@ instrumented points of the runtime — task dispatch (:data:`POINT_TASK`)
 and result-store writes (:data:`POINT_STORE_WRITE` /
 :data:`POINT_STORE_WRITE_DONE`).  The plan is activated through the
 ``REPRO_FAULT_PLAN`` environment variable (either the JSON itself or a
-path to a file holding it).
+path to a file holding it), read through :mod:`repro.settings` like
+every runtime setting (env → StudyConfig → CLI; no CLI flag sets a
+plan, and no run changes the process environment).
 
 Plan format::
 
@@ -68,10 +70,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import metric_count
-
-#: Environment variable holding the fault plan (JSON text, or a path to
-#: a JSON file); unset or empty disables injection entirely.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
+from repro.settings import FAULT_PLAN_ENV, RuntimeSettings
 
 #: Instrumented points a fault spec may attach to.
 POINT_TASK = "task"
@@ -249,12 +248,14 @@ def active_fault_plan() -> Optional[FaultPlan]:
     """The driver's plan named by ``REPRO_FAULT_PLAN``, or ``None``.
 
     Always ``None`` in a worker process: only the driver decides faults.
-    Rebuilt (with fresh counters) whenever the environment value
+    Rebuilt (with fresh counters) whenever the settings' value
     changes, so tests monkeypatching the variable see the right plan.
     """
     global _ACTIVE, _ACTIVE_KEY
-    value = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if not value or multiprocessing.parent_process() is not None:
+    if multiprocessing.parent_process() is not None:
+        return None
+    value = RuntimeSettings.current().fault_plan
+    if value is None:
         return None
     if _ACTIVE is None or _ACTIVE_KEY != value:
         _ACTIVE, _ACTIVE_KEY = FaultPlan(parse_fault_plan(value)), value
@@ -290,8 +291,8 @@ def dispatch(function: Callable, args: tuple, key: str) -> Tuple[Callable, tuple
 
 def dead_plan_warnings(counters: dict) -> List[str]:
     """A warning naming the armed plan if a run injected no fault at all."""
-    value = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if not value or counters.get("faults.injected", 0):
+    value = RuntimeSettings.current().fault_plan
+    if value is None or counters.get("faults.injected", 0):
         return []
     return [f"fault plan {FAULT_PLAN_ENV}={value} was armed but injected "
             "no faults (its triggers never fell due)"]

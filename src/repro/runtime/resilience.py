@@ -8,7 +8,10 @@ filesystem, a stalled task) costs one re-execution, never a changed
 result.  :class:`RetryPolicy` bundles the knobs:
 
 * ``max_attempts`` — total tries per task (1 = no retries), driven by
-  ``REPRO_MAX_RETRIES`` (retries *on top of* the first attempt);
+  ``REPRO_MAX_RETRIES`` (retries *on top of* the first attempt), or a
+  CLI run's ``--max-retries`` (env → StudyConfig → CLI, resolved by
+  :meth:`RetryPolicy.from_settings` when a backend is built; no run
+  changes the process environment);
 * exponential backoff whose jitter is a pure function of the task key
   and the attempt number (SHA-256, not :mod:`random`), so two runs of
   the same failing batch sleep identically — reproducibility extends
@@ -31,26 +34,15 @@ retrying them would repeat the same failure while hiding its origin.
 from __future__ import annotations
 
 import hashlib
-import os
+import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.metrics import metric_count
 from repro.runtime.faultinject import dispatch
-
-#: Extra attempts per task on top of the first (``max_attempts - 1``).
-RETRIES_ENV = "REPRO_MAX_RETRIES"
-
-#: Per-task wall-clock budget, in seconds (float).
-TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-#: Default retries when the environment does not say otherwise: two
-#: retries (three attempts) absorb one transient fault plus one unlucky
-#: recurrence without masking a persistent failure for long.
-DEFAULT_RETRIES = 2
+from repro.settings import DEFAULT_RETRIES, RuntimeSettings
 
 #: Exception types worth retrying — transient by nature.  Everything
 #: else (assertion-style cross-check failures, configuration errors)
@@ -62,36 +54,6 @@ def deterministic_jitter(key: str, attempt: int) -> float:
     """A uniform [0, 1) draw that is a pure function of (key, attempt)."""
     digest = hashlib.sha256(f"{key}#{attempt}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-def _env_retries() -> int:
-    value = os.environ.get(RETRIES_ENV, "")
-    if not value.strip():
-        return DEFAULT_RETRIES
-    try:
-        retries = int(value)
-        if retries < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(
-            f"{RETRIES_ENV} must be a non-negative integer retry count, "
-            f"got {value!r}") from None
-    return retries
-
-
-def _env_timeout() -> Optional[float]:
-    value = os.environ.get(TIMEOUT_ENV, "")
-    if not value.strip():
-        return None
-    try:
-        timeout = float(value)
-        if timeout <= 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(
-            f"{TIMEOUT_ENV} must be a positive number of seconds, "
-            f"got {value!r}") from None
-    return timeout
 
 
 @dataclass(frozen=True)
@@ -113,9 +75,9 @@ class RetryPolicy:
         if self.backoff_factor < 1:
             raise ConfigurationError(
                 f"backoff_factor must be at least 1, got {self.backoff_factor}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
+        if self.task_timeout is not None and not 0 < self.task_timeout < math.inf:
             raise ConfigurationError(
-                f"task_timeout must be positive, got {self.task_timeout}")
+                f"task_timeout must be positive and finite, got {self.task_timeout}")
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
@@ -124,7 +86,14 @@ class RetryPolicy:
         Malformed values raise :class:`ConfigurationError` naming the
         variable and the value, like every other ``REPRO_*`` knob.
         """
-        return cls(max_attempts=_env_retries() + 1, task_timeout=_env_timeout())
+        return cls.from_settings(RuntimeSettings.from_env())
+
+    @classmethod
+    def from_settings(cls, settings: Optional[RuntimeSettings] = None) -> "RetryPolicy":
+        """The policy of ``settings`` (default: the current run's settings)."""
+        settings = settings if settings is not None else RuntimeSettings.current()
+        return cls(max_attempts=settings.max_retries + 1,
+                   task_timeout=settings.task_timeout)
 
     def retryable(self, error: BaseException) -> bool:
         """Whether ``error`` is transient enough to be worth a re-run."""
@@ -139,32 +108,6 @@ class RetryPolicy:
         """
         base = self.backoff_base * self.backoff_factor ** (attempt - 1)
         return base * (0.5 + deterministic_jitter(key, attempt))
-
-
-@contextmanager
-def retry_settings(max_retries: Optional[int],
-                   task_timeout: Optional[float]) -> Iterator[None]:
-    """Export a CLI's ``--max-retries`` / ``--task-timeout`` for one run.
-
-    Backends resolve their policy with :meth:`RetryPolicy.from_env` when
-    they are built, so the settings travel through the environment; the
-    previous values are restored when the block exits, so one in-process
-    run's settings never leak into the next.  ``None`` leaves a variable
-    as it is.
-    """
-    settings = {RETRIES_ENV: max_retries, TIMEOUT_ENV: task_timeout}
-    previous = {name: os.environ.get(name) for name in settings}
-    for name, value in settings.items():
-        if value is not None:
-            os.environ[name] = str(value)
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def retry_calls(policy: RetryPolicy, calls: Sequence[Tuple[Callable, tuple, str]],

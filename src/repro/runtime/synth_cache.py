@@ -19,12 +19,15 @@ This module persists the synthesis flow's output the same way
   delay annotation, sizing result and reports — through the shared
   :class:`~repro.runtime.store.ResultStore` machinery, inheriting its
   atomic writes, corruption-as-miss loads and LRU byte budget.
-* :func:`active_synth_cache` is the process-wide activation point,
-  driven by ``REPRO_SYNTH_CACHE`` (cache directory) and
-  ``REPRO_SYNTH_CACHE_LIMIT_MB`` (optional byte budget).
-  :func:`configure_synth_cache` activates it programmatically and — by
-  default — exports the environment variables so multiprocess workers
-  spawned later inherit the same cache directory.
+* :func:`active_synth_cache` is the process-wide activation point.
+  Settings resolve env → code → CLI: ``REPRO_SYNTH_CACHE`` (cache
+  directory) and ``REPRO_SYNTH_CACHE_LIMIT_MB`` (optional byte budget)
+  name the default cache; :func:`configure_synth_cache` replaces it for
+  the process; a CLI's ``--synth-cache-dir`` / ``--no-synth-cache``
+  replace it for one run (:func:`synth_cache_scope`), keeping the
+  environment's budget.  No run changes the process environment:
+  multiprocess workers receive the driver's cache with every call
+  (:func:`synth_cache_spec` / :func:`adopt_synth_cache`).
 
 :func:`repro.runtime.jobs.synthesize_job` is the single integration
 point: every backend (serial, multiprocess workers, the planner's
@@ -40,8 +43,9 @@ so an entry could never be validated); everything else is.
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Optional
+import math
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from repro._version import __version__
 from repro.exceptions import ConfigurationError
@@ -53,17 +57,15 @@ from repro.runtime.store import (
     _canonical_synthesis,
     digest_of,
 )
+from repro.settings import (  # noqa: F401 - the env names are re-exported
+    SYNTH_CACHE_ENV,
+    SYNTH_CACHE_LIMIT_ENV,
+    RuntimeSettings,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.designs import DesignEntry
     from repro.synth.flow import SynthesisOptions, SynthesizedDesign
-
-#: Environment variable naming the synthesis-cache directory; unset or
-#: empty disables the cache.
-SYNTH_CACHE_ENV = "REPRO_SYNTH_CACHE"
-
-#: Environment variable bounding the synthesis cache in mebibytes.
-SYNTH_CACHE_LIMIT_ENV = "REPRO_SYNTH_CACHE_LIMIT_MB"
 
 #: Bumped whenever the synthesized-design payload layout changes; old
 #: entries then key differently and are silently recomputed.
@@ -115,9 +117,11 @@ class SynthesisCache:
     """
 
     def __init__(self, root, limit_mb: Optional[float] = None) -> None:
-        if limit_mb is not None and limit_mb <= 0:
+        if limit_mb is not None and not (math.isfinite(limit_mb) and limit_mb > 0):
             raise ConfigurationError(
-                f"synthesis cache limit_mb must be positive, got {limit_mb}")
+                f"synthesis cache limit_mb must be positive and finite, got {limit_mb}")
+        #: ``(root, limit_mb)``: what another process needs to open this cache.
+        self.spec = (str(root), limit_mb)
         self.stats = CacheStats()
         limit_bytes = None if limit_mb is None else max(int(limit_mb * 1024 * 1024), 1)
         self.store = ResultStore(root, stats=self.stats, limit_bytes=limit_bytes)
@@ -160,68 +164,79 @@ class SynthesisCache:
 # --------------------------------------------------------------------- #
 # Process-wide activation
 # --------------------------------------------------------------------- #
-_ACTIVE: Optional[SynthesisCache] = None
-_ACTIVE_KEY: Optional[tuple] = None
+#: Marks "no cache chosen in code: the settings decide".
+_FROM_SETTINGS = object()
+
+#: The cache chosen by :func:`configure_synth_cache` (``None``: disabled).
+_CONFIGURED: object = _FROM_SETTINGS
+
+#: The cache the settings named last, reused while they name the same one.
+_SETTINGS_CACHE: Optional[SynthesisCache] = None
 
 
 def active_synth_cache() -> Optional[SynthesisCache]:
-    """The process-wide cache named by ``REPRO_SYNTH_CACHE``, or ``None``.
+    """The process's synthesis cache, or ``None``.
 
-    The instance is rebuilt whenever the environment changes, so worker
-    processes (which inherit the exported environment) and tests (which
-    monkeypatch it) both see the right cache without explicit plumbing.
+    The cache :func:`configure_synth_cache` chose, else the one the
+    current settings name (``REPRO_SYNTH_CACHE``, re-read on every call
+    so tests that monkeypatch it see the right cache; the instance is
+    kept while the directory and budget stay the same).
     """
-    global _ACTIVE, _ACTIVE_KEY
-    root = os.environ.get(SYNTH_CACHE_ENV, "").strip()
-    if not root:
-        _ACTIVE, _ACTIVE_KEY = None, None
+    global _SETTINGS_CACHE
+    if _CONFIGURED is not _FROM_SETTINGS:
+        return _CONFIGURED
+    settings = RuntimeSettings.current()
+    if settings.synth_cache_dir is None:
         return None
-    raw_limit = os.environ.get(SYNTH_CACHE_LIMIT_ENV, "").strip()
-    limit_mb: Optional[float] = None
-    if raw_limit:
-        try:
-            limit_mb = float(raw_limit)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SYNTH_CACHE_LIMIT_ENV} must be a number of mebibytes, "
-                f"got {raw_limit!r}")
-        if limit_mb <= 0:
-            raise ConfigurationError(
-                f"{SYNTH_CACHE_LIMIT_ENV} must be positive, got {raw_limit!r}")
-    key = (root, limit_mb)
-    if _ACTIVE is None or _ACTIVE_KEY != key:
-        _ACTIVE = SynthesisCache(root, limit_mb=limit_mb)
-        _ACTIVE_KEY = key
-    return _ACTIVE
+    spec = (settings.synth_cache_dir, settings.synth_cache_limit_mb)
+    if _SETTINGS_CACHE is None or _SETTINGS_CACHE.spec != spec:
+        _SETTINGS_CACHE = SynthesisCache(*spec)
+    return _SETTINGS_CACHE
 
 
-def configure_synth_cache(root, limit_mb: Optional[float] = None,
-                          export_env: bool = True) -> Optional[SynthesisCache]:
+def configure_synth_cache(root, limit_mb: Optional[float] = None) -> Optional[SynthesisCache]:
     """Activate (or with a falsy ``root``, deactivate) the synthesis cache.
 
-    With ``export_env`` (the default) the configuration is also written
-    to the process environment, so multiprocess workers spawned later
-    activate the same cache directory.
+    The choice holds for this process until the next call or
+    :func:`reset_synth_cache`, whatever the environment says; worker
+    processes of a multiprocess backend follow it call by call.
     """
-    global _ACTIVE, _ACTIVE_KEY
-    if not root:
-        if export_env:
-            os.environ.pop(SYNTH_CACHE_ENV, None)
-            os.environ.pop(SYNTH_CACHE_LIMIT_ENV, None)
-        _ACTIVE, _ACTIVE_KEY = None, None
-        return None
-    if export_env:
-        os.environ[SYNTH_CACHE_ENV] = str(root)
-        if limit_mb is None:
-            os.environ.pop(SYNTH_CACHE_LIMIT_ENV, None)
-        else:
-            os.environ[SYNTH_CACHE_LIMIT_ENV] = repr(limit_mb)
-    _ACTIVE = SynthesisCache(root, limit_mb=limit_mb)
-    _ACTIVE_KEY = (str(root), limit_mb)
-    return _ACTIVE
+    global _CONFIGURED
+    _CONFIGURED = SynthesisCache(root, limit_mb=limit_mb) if root else None
+    return _CONFIGURED
+
+
+@contextmanager
+def synth_cache_scope(root, limit_mb: Optional[float] = None) -> Iterator[Optional[SynthesisCache]]:
+    """:func:`configure_synth_cache` for one ``with`` block, then restore."""
+    global _CONFIGURED
+    previous = _CONFIGURED
+    try:
+        yield configure_synth_cache(root, limit_mb)
+    finally:
+        _CONFIGURED = previous
+
+
+def synth_cache_spec() -> Optional[Tuple[str, Optional[float]]]:
+    """The active cache as a picklable value (``None``: no cache)."""
+    cache = active_synth_cache()
+    return None if cache is None else cache.spec
+
+
+def adopt_synth_cache(spec: Optional[Tuple[str, Optional[float]]]) -> None:
+    """Use the cache another process described with :func:`synth_cache_spec`.
+
+    Worker processes call this before every task, so they read and
+    write exactly the driver's cache; an unchanged spec keeps the
+    instance.
+    """
+    if spec is None:
+        configure_synth_cache(None)
+    elif getattr(_CONFIGURED, "spec", None) != spec:
+        configure_synth_cache(*spec)
 
 
 def reset_synth_cache() -> None:
-    """Drop the process-wide instance (tests; the env decides the next one)."""
-    global _ACTIVE, _ACTIVE_KEY
-    _ACTIVE, _ACTIVE_KEY = None, None
+    """Forget :func:`configure_synth_cache` (tests; the settings decide again)."""
+    global _CONFIGURED, _SETTINGS_CACHE
+    _CONFIGURED, _SETTINGS_CACHE = _FROM_SETTINGS, None

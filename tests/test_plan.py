@@ -126,15 +126,15 @@ class CountingSerial(SerialBackend):
 class TestPlannedBitIdentity:
     def test_planned_serial_identical(self):
         jobs = sweep_batch()
-        reference = run_jobs(jobs, plan=False)
-        planned = run_jobs(jobs, plan=True)
+        reference = SerialBackend().run(jobs)
+        planned = run_jobs(jobs)
         for want, got in zip(reference, planned):
             assert_bit_identical(want, got)
 
     def test_planned_multiprocess_identical(self):
         jobs = sweep_batch()
-        reference = run_jobs(jobs, plan=False)
-        planned = run_jobs(jobs, backend="multiprocess", workers=2, plan=True)
+        reference = SerialBackend().run(jobs)
+        planned = run_jobs(jobs, backend="multiprocess", workers=2)
         for want, got in zip(reference, planned):
             assert_bit_identical(want, got)
         # the parent restores the original trace objects on group results
@@ -143,7 +143,7 @@ class TestPlannedBitIdentity:
 
     def test_planned_cached_identical_and_warm_zero_jobs(self, tmp_path):
         jobs = sweep_batch()
-        reference = run_jobs(jobs, plan=False)
+        reference = SerialBackend().run(jobs)
         inner = CountingSerial()
         cache = CachingBackend(PlannedBackend(inner), tmp_path)
         cold = cache.run(jobs)
@@ -169,8 +169,8 @@ class TestPlannedBitIdentity:
                 jobs.append(CharacterizationJob(
                     entry=isa_entry((4, 0, 0, 2), width=16), trace=tr,
                     clock_periods=periods, simulator="fast", width=16))
-        reference = run_jobs(jobs, plan=False)
-        planned = run_jobs(jobs, plan=True)
+        reference = SerialBackend().run(jobs)
+        planned = run_jobs(jobs)
         for want, got in zip(reference, planned):
             assert_bit_identical(want, got)
 
@@ -217,7 +217,7 @@ class TestPlannedScheduling:
         traces = [uniform_workload(100, width=16, seed=seed) for seed in (31, 32)]
         jobs = [make_job(trace=trace) for trace in traces]
         caching = CachingBackend(PlannedBackend(SerialBackend()), tmp_path)
-        run_jobs(jobs, backend=caching)  # plan=True default
+        run_jobs(jobs, backend=caching)
         assert caching.stats.misses == len(jobs)
         run_jobs(jobs, backend=caching)
         assert caching.stats.hits == len(jobs)

@@ -39,6 +39,7 @@ from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
     MultiprocessBackend,
+    PlannedBackend,
     RetryPolicy,
     SerialBackend,
     active_fault_plan,
@@ -128,7 +129,7 @@ class TestEnvKnobs:
         assert RETRIES_ENV in str(excinfo.value)
         assert repr(value) in str(excinfo.value)
 
-    @pytest.mark.parametrize("value", ["soon", "0", "-2.5"])
+    @pytest.mark.parametrize("value", ["soon", "0", "-2.5", "nan", "inf"])
     def test_malformed_timeout_names_variable_and_value(self, monkeypatch, value):
         monkeypatch.setenv(TIMEOUT_ENV, value)
         with pytest.raises(ConfigurationError) as excinfo:
@@ -199,8 +200,9 @@ class TestRetryPolicy:
     def test_invalid_policy_fields_raise(self):
         with pytest.raises(ConfigurationError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError, match="task_timeout"):
-            RetryPolicy(task_timeout=0.0)
+        for timeout in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="task_timeout"):
+                RetryPolicy(task_timeout=timeout)
 
     def test_transient_failure_is_retried_then_succeeds(self):
         attempts, sleeps = [], []
@@ -284,7 +286,7 @@ class TestFaultPlan:
                              ids=["serial", "1", "2", "4"])
     def test_plan_fires_on_the_same_call_keys_on_every_backend(
             self, arm_faults, cpus, monkeypatch, workers):
-        reference = run_jobs(job_batch(), backend="serial", plan=False)
+        reference = SerialBackend().run(job_batch())
         fired = []
         decide = FaultPlan.decide
 
@@ -303,7 +305,7 @@ class TestFaultPlan:
                    else multiprocess_backend(workers=workers))
         try:
             with metrics_run() as registry:
-                survived = run_jobs(job_batch(), backend=backend, plan=False)
+                survived = backend.run(job_batch())
         finally:
             backend.close()
         assert_fired(registry, plan)
@@ -325,10 +327,10 @@ class TestFaultPlan:
 # --------------------------------------------------------------------- #
 class TestSerialResilience:
     def test_transient_task_fault_is_retried_transparently(self, arm_faults):
-        [reference] = run_jobs([small_job()], backend="serial", plan=False)
+        [reference] = SerialBackend().run([small_job()])
         plan = arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
         with metrics_run() as registry:
-            [survived] = run_jobs([small_job()], backend="serial", plan=False)
+            [survived] = SerialBackend().run([small_job()])
         assert_fired(registry, plan)
         assert_bit_identical(reference, survived)
         assert registry.counters["faults.injected"] == 1
@@ -336,10 +338,10 @@ class TestSerialResilience:
 
     def test_planned_serial_groups_retry_too(self, arm_faults):
         jobs = job_batch()
-        reference = run_jobs(jobs, backend="serial", plan=False)
+        reference = SerialBackend().run(jobs)
         plan = arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
         with metrics_run() as registry:
-            survived = run_jobs(job_batch(), backend="serial", plan=True)
+            survived = run_jobs(job_batch(), backend="serial")
         assert_fired(registry, plan)
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
@@ -367,14 +369,15 @@ class TestMultiprocessResilience:
                                                     tmp_path, plan, cached,
                                                     workers):
         jobs = job_batch()
-        reference = run_jobs(jobs, backend="serial", plan=False)
+        reference = SerialBackend().run(jobs)
         fault_plan = arm_faults([{"kind": "kill-worker", "at": 2, "times": 1}])
         backend = multiprocess_backend(workers=workers)
+        stack = PlannedBackend(backend) if plan else backend
+        if cached:
+            stack = CachingBackend(stack, tmp_path / "cache")
         try:
             with metrics_run() as registry:
-                survived = run_jobs(
-                    job_batch(), backend=backend, plan=plan,
-                    cache_dir=str(tmp_path / "cache") if cached else None)
+                survived = stack.run(job_batch())
         finally:
             backend.close()
         assert_fired(registry, fault_plan)
@@ -385,7 +388,7 @@ class TestMultiprocessResilience:
 
     def test_stalled_task_is_redispatched_after_timeout(self, arm_faults):
         job = small_job()
-        [reference] = run_jobs([job], backend="serial", plan=False)
+        [reference] = SerialBackend().run([job])
         plan = arm_faults([{"kind": "delay", "at": 1, "seconds": 5.0, "times": 1}])
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, task_timeout=0.5)
         backend = multiprocess_backend(workers=1, retry_policy=policy)
@@ -400,7 +403,7 @@ class TestMultiprocessResilience:
 
     def test_hopeless_pool_degrades_to_in_process_with_warning(self, arm_faults):
         jobs = job_batch()
-        reference = run_jobs(jobs, backend="serial", plan=False)
+        reference = SerialBackend().run(jobs)
         plan = arm_faults([{"kind": "kill-worker", "every": 1}])
         backend = multiprocess_backend(workers=1, max_rebuilds=2)
         try:
@@ -437,7 +440,7 @@ class TestStoreResilience:
         assert "2 writes skipped on I/O errors" in store.stats.describe()
 
     def test_cached_run_survives_write_faults_as_misses(self, arm_faults, tmp_path):
-        [reference] = run_jobs([small_job()], backend="serial", plan=False)
+        [reference] = SerialBackend().run([small_job()])
         plan = arm_faults([{"kind": "store-error", "every": 1,
                             "match": str(tmp_path / "cache")}])
         backend = CachingBackend(SerialBackend(), tmp_path / "cache")
@@ -454,7 +457,7 @@ class TestStoreResilience:
         assert backend.stats.write_errors >= 2
 
     def test_truncated_entry_is_recomputed_as_corruption(self, arm_faults, tmp_path):
-        [reference] = run_jobs([small_job()], backend="serial", plan=False)
+        [reference] = SerialBackend().run([small_job()])
         plan = arm_faults([{"kind": "truncate", "at": 1}])
         backend = CachingBackend(SerialBackend(), tmp_path / "cache")
         with metrics_run() as registry:
@@ -581,6 +584,7 @@ class TestCLIValidation:
     @pytest.mark.parametrize("argv, detail", [
         (["--max-retries", "-1"], "--max-retries must be non-negative"),
         (["--task-timeout", "0"], "--task-timeout must be positive"),
+        (["--task-timeout", "nan"], "--task-timeout must be positive"),
     ])
     def test_resilience_knobs_are_validated(self, argv, detail, capsys):
         from repro.explore.cli import main
@@ -590,7 +594,7 @@ class TestCLIValidation:
 
 
 class TestCLIRetrySettings:
-    """``--max-retries`` / ``--task-timeout`` hold for one run only."""
+    """Retry, timeout and synthesis-cache flags hold for one run only."""
 
     EXPLORE = ["--width", "8", "--max-designs", "2", "--length", "16",
                "--backend", "serial", "--no-cache"]
@@ -601,18 +605,27 @@ class TestCLIRetrySettings:
                                            ("repro.experiments.runner", RUNNER)],
                              ids=["explore", "runner"])
     def test_settings_do_not_leak_into_the_next_run(self, cli, argv, monkeypatch,
-                                                    capsys):
+                                                    capsys, tmp_path):
         import importlib
 
         from repro.experiments.common import StudyConfig, shutdown_backends
+        from repro.runtime.jobs import clear_design_cache
+        from repro.runtime.synth_cache import (
+            SYNTH_CACHE_ENV,
+            SYNTH_CACHE_LIMIT_ENV,
+            active_synth_cache,
+        )
         monkeypatch.delenv(RETRIES_ENV, raising=False)
         monkeypatch.delenv(TIMEOUT_ENV, raising=False)
+        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
+        monkeypatch.delenv(SYNTH_CACHE_LIMIT_ENV, raising=False)
         main = importlib.import_module(cli).main
-        backends = []
+        backends, synth_caches = [], []
         runtime_backend = StudyConfig.runtime_backend
 
         def recording(config):
             backends.append(runtime_backend(config))
+            synth_caches.append(active_synth_cache())
             return backends[-1]
 
         def policy(backend):
@@ -620,15 +633,50 @@ class TestCLIRetrySettings:
                 backend = backend.inner
             return backend.retry_policy
 
+        def where(synth_cache):
+            return synth_cache.store.root, synth_cache.store.limit_bytes
+
+        def run(*flags):
+            clear_design_cache()  # a fresh process would synthesize again
+            assert main(argv + list(flags)) == 0
+
         monkeypatch.setattr(StudyConfig, "runtime_backend", recording)
         try:
-            assert main(argv + ["--max-retries", "0", "--task-timeout", "30"]) == 0
+            run("--max-retries", "0", "--task-timeout", "30")
             assert policy(backends[-1]) == RetryPolicy(max_attempts=1, task_timeout=30.0)
             assert RETRIES_ENV not in os.environ
             assert TIMEOUT_ENV not in os.environ
             assert SerialBackend().retry_policy == RetryPolicy()
-            assert main(argv) == 0
+            run()
             assert policy(backends[-1]) == RetryPolicy()
+
+            # --synth-cache-dir keeps the environment's budget, for its run only.
+            flag_dir = tmp_path / "flag-synth"
+            monkeypatch.setenv(SYNTH_CACHE_LIMIT_ENV, "64")
+            run("--synth-cache-dir", str(flag_dir))
+            assert where(synth_caches[-1]) == (flag_dir, 64 * 1024 * 1024)
+            assert any(flag_dir.glob("*/*/result.pkl"))
+            assert SYNTH_CACHE_ENV not in os.environ
+            assert os.environ[SYNTH_CACHE_LIMIT_ENV] == "64"
+            written = sorted(flag_dir.rglob("*"))
+            run()
+            assert synth_caches[-1] is None
+            assert sorted(flag_dir.rglob("*")) == written
+            assert active_synth_cache() is None
+
+            # --no-synth-cache disables the environment's cache for its run only.
+            env_dir = tmp_path / "env-synth"
+            monkeypatch.setenv(SYNTH_CACHE_ENV, str(env_dir))
+            run("--no-synth-cache")
+            assert synth_caches[-1] is None
+            assert not env_dir.exists()
+            run()
+            assert where(synth_caches[-1]) == (env_dir, 64 * 1024 * 1024)
+
+            # A malformed budget is rejected, not dropped by the flag.
+            monkeypatch.setenv(SYNTH_CACHE_LIMIT_ENV, "nan")
+            with pytest.raises(ConfigurationError, match=SYNTH_CACHE_LIMIT_ENV):
+                main(argv + ["--synth-cache-dir", str(flag_dir)])
         finally:
             shutdown_backends()
 

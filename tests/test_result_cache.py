@@ -20,7 +20,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import (
     StudyConfig,
-    _BACKEND_INSTANCES,
+    _SHARED_BACKENDS,
     characterize_designs,
     shutdown_backends,
 )
@@ -507,10 +507,10 @@ class TestPoolLifecycle:
         backend.run([job])
         pool_backend = backend.inner  # planner wraps the shared raw backend
         assert pool_backend._pool is not None
-        assert _BACKEND_INSTANCES
+        assert _SHARED_BACKENDS
         shutdown_backends()
         assert pool_backend._pool is None
-        assert not _BACKEND_INSTANCES
+        assert not _SHARED_BACKENDS
         # idempotent, and the registry repopulates lazily afterwards
         shutdown_backends()
         assert config.runtime_backend() is not backend

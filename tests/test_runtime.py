@@ -25,9 +25,12 @@ from repro.experiments.designs import exact_entry, isa_entry
 from repro.ml.dataset import collect_bit_datasets
 from repro.runtime import (
     BACKENDS,
+    CachingBackend,
     CharacterizationJob,
     MultiprocessBackend,
     SerialBackend,
+    SynthesisCache,
+    active_synth_cache,
     execute_job,
     get_backend,
     run_jobs,
@@ -336,13 +339,25 @@ class TestStudyConfigRuntimeKnobs:
         with pytest.raises(ConfigurationError, match="trace_scale|factor"):
             StudyConfig().scaled_down(value)
 
-    @pytest.mark.parametrize("name, field", [("REPRO_TRACE_SCALE", "trace_scale"),
-                                             ("REPRO_CACHE_LIMIT_MB", "cache_limit_mb")])
+    @pytest.mark.parametrize("name, field, build", [
+        ("REPRO_TRACE_SCALE", "trace_scale", lambda root, value: StudyConfig()),
+        ("REPRO_CACHE_LIMIT_MB", "cache_limit_mb", lambda root, value: StudyConfig()),
+        ("REPRO_SYNTH_CACHE_LIMIT_MB", "REPRO_SYNTH_CACHE_LIMIT_MB",
+         lambda root, value: active_synth_cache()),
+        (None, "synthesis cache limit_mb",
+         lambda root, value: SynthesisCache(root, limit_mb=float(value))),
+        (None, "cache limit_mb",
+         lambda root, value: CachingBackend(SerialBackend(), root, limit_mb=float(value))),
+    ], ids=["REPRO_TRACE_SCALE-trace_scale", "REPRO_CACHE_LIMIT_MB-cache_limit_mb",
+            "REPRO_SYNTH_CACHE_LIMIT_MB", "SynthesisCache", "CachingBackend"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_env_settings_rejected(self, monkeypatch, name, field, value):
-        monkeypatch.setenv(name, value)
+    def test_non_finite_env_settings_rejected(self, monkeypatch, tmp_path, name, field,
+                                              build, value):
+        monkeypatch.setenv("REPRO_SYNTH_CACHE", str(tmp_path))
+        if name is not None:
+            monkeypatch.setenv(name, value)
         with pytest.raises(ConfigurationError, match=field):
-            StudyConfig()
+            build(tmp_path, value)
 
     def test_runner_rejects_non_finite_scale(self):
         from repro.experiments.runner import main

@@ -17,6 +17,8 @@ from repro.runtime.synth_cache import (
     active_synth_cache,
     cacheable,
     configure_synth_cache,
+    reset_synth_cache,
+    synth_cache_scope,
     synth_digest,
 )
 from repro.synth.flow import SynthesisOptions
@@ -149,19 +151,30 @@ class TestActivation:
         with pytest.raises(ConfigurationError):
             active_synth_cache()
 
-    def test_configure_exports_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
-        cache = configure_synth_cache(tmp_path, limit_mb=4)
-        try:
-            import os
-            assert os.environ[SYNTH_CACHE_ENV] == str(tmp_path)
-            assert float(os.environ[SYNTH_CACHE_LIMIT_ENV]) == 4
-            assert active_synth_cache() is cache
-        finally:
-            configure_synth_cache(None)
+    def test_configure_overrides_env_without_writing_it(self, tmp_path, monkeypatch):
         import os
-        assert SYNTH_CACHE_ENV not in os.environ
+        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path / "from-env"))
+        monkeypatch.delenv(SYNTH_CACHE_LIMIT_ENV, raising=False)
+        cache = configure_synth_cache(tmp_path, limit_mb=4)
+        assert os.environ[SYNTH_CACHE_ENV] == str(tmp_path / "from-env")
+        assert SYNTH_CACHE_LIMIT_ENV not in os.environ
+        assert active_synth_cache() is cache
+        assert cache.store.limit_bytes == 4 * 1024 * 1024
+        configure_synth_cache(None)  # disabled, whatever the env says
         assert active_synth_cache() is None
+        reset_synth_cache()  # the env decides again
+        assert active_synth_cache().store.root == tmp_path / "from-env"
+
+    def test_scope_restores_the_previous_choice(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
+        outer = configure_synth_cache(tmp_path / "outer")
+        with synth_cache_scope(tmp_path / "inner", 2.0) as inner:
+            assert active_synth_cache() is inner
+            assert inner.spec == (str(tmp_path / "inner"), 2.0)
+        assert active_synth_cache() is outer
+        with synth_cache_scope(None):
+            assert active_synth_cache() is None
+        assert active_synth_cache() is outer
 
 
 class TestSynthesizeJobReadThrough:
@@ -214,3 +227,46 @@ class TestSynthesizeJobReadThrough:
         cache = active_synth_cache()
         assert cache.store.total_bytes() == 0
         assert cache.stats.hits == 0 and cache.stats.misses == 0
+
+
+class TestPoolWorkers:
+    def test_workers_use_the_cache_the_driver_configured(self, tmp_path, monkeypatch):
+        import warnings
+
+        from repro.explore.space import space_entries
+        from repro.explore.sweep import SweepSpec, run_sweep
+        from repro.runtime import MultiprocessBackend
+        from repro.workloads.generators import WorkloadSpec
+
+        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
+        spec = SweepSpec(
+            entries=tuple(space_entries(width=16, max_designs=4)),
+            workloads=(WorkloadSpec(kind="uniform", length=64, width=16, seed=1),),
+            width=16)
+
+        def pool():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return MultiprocessBackend(workers=2)
+
+        def sweep(backend):
+            clear_design_cache()
+            try:
+                with trace_run() as tracer:
+                    result = run_sweep(spec, backend=backend)
+            finally:
+                backend.close()
+            return result, tracer.phase_totals().get("synthesize", {}).get("calls", 0)
+
+        # The workers are forked before the driver picks its cache, so
+        # they can only learn it from the calls themselves.
+        configure_synth_cache(None)
+        early = pool()
+        assert early.run_calls([(abs, (-1,), "fork")]) == [1]
+        configure_synth_cache(tmp_path)
+        cold, cold_synthesized = sweep(early)
+        assert cold_synthesized == len(spec.entries)
+        assert len(list(tmp_path.glob("*/*/result.pkl"))) == len(spec.entries)
+        warm, warm_synthesized = sweep(pool())
+        assert warm_synthesized == 0
+        assert warm.points == cold.points

@@ -86,11 +86,11 @@ class TestTimingsMerge:
     def test_worker_phases_merged_into_timings(self):
         jobs = small_jobs()
         with trace_run() as serial_tracer:
-            serial = run_jobs(jobs, backend="serial", plan=False)
+            serial = SerialBackend().run(jobs)
         pool = multiprocess_pool()
         try:
             with trace_run() as mp_tracer:
-                multiprocess = run_jobs(jobs, backend=pool, plan=False)
+                multiprocess = pool.run(jobs)
         finally:
             pool.close()
         for reference, candidate in zip(serial, multiprocess):
@@ -162,7 +162,10 @@ class TestBitIdentity:
 
 
 class TestManifests:
-    def test_run_jobs_writes_manifest(self, tmp_path):
+    def test_run_jobs_writes_manifest(self, tmp_path, monkeypatch):
+        # The synthesize phase only runs without a warm synthesis cache
+        # ($REPRO_SYNTH_CACHE is set suite-wide in the CI cache leg).
+        monkeypatch.delenv("REPRO_SYNTH_CACHE", raising=False)
         jobs = small_jobs()
         run_jobs(jobs, backend="serial", telemetry_dir=str(tmp_path))
         [manifest] = load_manifests(tmp_path)
@@ -257,8 +260,7 @@ class TestCliIntegration:
                      telemetry_dir=str(telemetry))
         pool = multiprocess_pool()
         try:  # uncached, so the jobs actually reach the workers
-            run_jobs(jobs, backend=pool, plan=False,
-                     telemetry_dir=str(telemetry))
+            run_jobs(jobs, backend=pool, telemetry_dir=str(telemetry))
         finally:
             pool.close()
         assert stats_main([str(telemetry), "--cache-dir", str(cache)]) == 0
