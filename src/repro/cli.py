@@ -8,7 +8,9 @@ overridden by the flags given (env → StudyConfig → CLI, see
 :mod:`repro.settings`), applied for that run only: no run changes the
 process environment, so two back-to-back in-process runs share no
 settings — not the retry policy, not the synthesis cache, not its
-budget.
+budget.  A run without ``--synth-cache-dir`` / ``--no-synth-cache``
+keeps the synthesis cache the process chose in code
+(:func:`~repro.runtime.synth_cache.configure_synth_cache`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.obs.manifest import TelemetryHandle, telemetry_run
 from repro.obs.trace import trace_run
 from repro.runtime.backends import BACKENDS, Backend
 from repro.runtime.cache import CachingBackend
-from repro.runtime.synth_cache import active_synth_cache, synth_cache_scope
+from repro.runtime.synth_cache import active_synth_cache, synth_cache_spec
 from repro.settings import RuntimeSettings
 
 Result = TypeVar("Result")
@@ -106,6 +108,11 @@ def resolve_runtime_flags(parser: argparse.ArgumentParser,
         settings = replace(settings, cache_dir=None)
     if arguments.no_synth_cache:
         settings = replace(settings, synth_cache_dir=None)
+    elif arguments.synth_cache_dir is None:
+        # Without a synth flag the run keeps the process's cache: the
+        # one configure_synth_cache chose, else the environment's.
+        root, limit_mb = synth_cache_spec() or (None, None)
+        settings = replace(settings, synth_cache_dir=root, synth_cache_limit_mb=limit_mb)
     return settings
 
 
@@ -114,13 +121,12 @@ def run_with_settings(settings: RuntimeSettings, arguments: argparse.Namespace,
                       inline: bool = False) -> Tuple[Result, str, TelemetryHandle]:
     """``run()`` under ``settings``, telemetry and ``--timings``.
 
-    The settings are applied and the synthesis cache they name is
-    active for the call only.  Returns the result, the ``--timings``
+    The settings, the synthesis cache they name included, are applied
+    for the call only.  Returns the result, the ``--timings``
     footer line (empty without the flag) and the telemetry handle
     (whose manifest is built once the run is over).
     """
     with settings.applied(), \
-            synth_cache_scope(settings.synth_cache_dir, settings.synth_cache_limit_mb), \
             telemetry_run(settings.telemetry_dir, command=command, config=config,
                           inline=inline) as telemetry:
         if not arguments.timings:

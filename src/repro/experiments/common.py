@@ -182,7 +182,7 @@ class StudyConfig:
         flags), so a run under different retry settings never inherits
         another run's backend.
         """
-        key = (self.backend, self.workers, RetryPolicy.from_settings())
+        key = (self.backend, self.workers, RetryPolicy.from_env())
         inner = _SHARED_BACKENDS.get(key)
         if inner is None:
             inner = _SHARED_BACKENDS[key] = get_backend(self.backend, workers=self.workers)

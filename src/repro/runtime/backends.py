@@ -237,7 +237,7 @@ class SerialBackend(Backend):
 
     def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_settings())
+                             else RetryPolicy.from_env())
 
     def run_calls(self, calls: Sequence[Call],
                   interleave: Optional[Callable[[], None]] = None) -> List[object]:
@@ -316,7 +316,7 @@ class MultiprocessBackend(Backend):
         self.workers = workers if workers is not None else cpus
         self.chunk_transitions = chunk_transitions
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_settings())
+                             else RetryPolicy.from_env())
         self.max_rebuilds = max_rebuilds
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False

@@ -10,7 +10,7 @@ result.  :class:`RetryPolicy` bundles the knobs:
 * ``max_attempts`` — total tries per task (1 = no retries), driven by
   ``REPRO_MAX_RETRIES`` (retries *on top of* the first attempt), or a
   CLI run's ``--max-retries`` (env → StudyConfig → CLI, resolved by
-  :meth:`RetryPolicy.from_settings` when a backend is built; no run
+  :meth:`RetryPolicy.from_env` when a backend is built; no run
   changes the process environment);
 * exponential backoff whose jitter is a pure function of the task key
   and the attempt number (SHA-256, not :mod:`random`), so two runs of
@@ -81,17 +81,14 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        """The policy named by ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``.
+        """The policy of the current settings.
 
-        Malformed values raise :class:`ConfigurationError` naming the
-        variable and the value, like every other ``REPRO_*`` knob.
+        ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``, or a CLI run's
+        ``--max-retries`` / ``--task-timeout`` (see
+        :meth:`RuntimeSettings.current`).  Malformed values raise
+        :class:`ConfigurationError` naming the variable and the value.
         """
-        return cls.from_settings(RuntimeSettings.from_env())
-
-    @classmethod
-    def from_settings(cls, settings: Optional[RuntimeSettings] = None) -> "RetryPolicy":
-        """The policy of ``settings`` (default: the current run's settings)."""
-        settings = settings if settings is not None else RuntimeSettings.current()
+        settings = RuntimeSettings.current()
         return cls(max_attempts=settings.max_retries + 1,
                    task_timeout=settings.task_timeout)
 

@@ -24,8 +24,9 @@ This module persists the synthesis flow's output the same way
   directory) and ``REPRO_SYNTH_CACHE_LIMIT_MB`` (optional byte budget)
   name the default cache; :func:`configure_synth_cache` replaces it for
   the process; a CLI's ``--synth-cache-dir`` / ``--no-synth-cache``
-  replace it for one run (:func:`synth_cache_scope`), keeping the
-  environment's budget.  No run changes the process environment:
+  replace it for one run, keeping the environment's budget (a CLI run
+  without them keeps the process's cache).  No run changes the process
+  environment:
   multiprocess workers receive the driver's cache with every call
   (:func:`synth_cache_spec` / :func:`adopt_synth_cache`).
 
@@ -44,8 +45,7 @@ so an entry could never be validated); everything else is.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro._version import __version__
 from repro.exceptions import ConfigurationError
@@ -177,20 +177,26 @@ _SETTINGS_CACHE: Optional[SynthesisCache] = None
 def active_synth_cache() -> Optional[SynthesisCache]:
     """The process's synthesis cache, or ``None``.
 
-    The cache :func:`configure_synth_cache` chose, else the one the
-    current settings name (``REPRO_SYNTH_CACHE``, re-read on every call
-    so tests that monkeypatch it see the right cache; the instance is
-    kept while the directory and budget stay the same).
+    During a CLI run, the one its settings name (the CLI resolved them
+    env → code → CLI, see :func:`repro.cli.resolve_runtime_flags`);
+    else the cache :func:`configure_synth_cache` chose; else the one
+    the environment names (``REPRO_SYNTH_CACHE``, re-read on every
+    call so tests that monkeypatch it see the right cache).  An
+    instance is kept while its directory and budget stay the same.
     """
     global _SETTINGS_CACHE
-    if _CONFIGURED is not _FROM_SETTINGS:
-        return _CONFIGURED
-    settings = RuntimeSettings.current()
+    settings = RuntimeSettings.in_run()
+    if settings is None:
+        if _CONFIGURED is not _FROM_SETTINGS:
+            return _CONFIGURED
+        settings = RuntimeSettings.from_env()
     if settings.synth_cache_dir is None:
         return None
     spec = (settings.synth_cache_dir, settings.synth_cache_limit_mb)
-    if _SETTINGS_CACHE is None or _SETTINGS_CACHE.spec != spec:
-        _SETTINGS_CACHE = SynthesisCache(*spec)
+    for cache in (_CONFIGURED, _SETTINGS_CACHE):
+        if getattr(cache, "spec", None) == spec:
+            return cache
+    _SETTINGS_CACHE = SynthesisCache(*spec)
     return _SETTINGS_CACHE
 
 
@@ -198,23 +204,13 @@ def configure_synth_cache(root, limit_mb: Optional[float] = None) -> Optional[Sy
     """Activate (or with a falsy ``root``, deactivate) the synthesis cache.
 
     The choice holds for this process until the next call or
-    :func:`reset_synth_cache`, whatever the environment says; worker
-    processes of a multiprocess backend follow it call by call.
+    :func:`reset_synth_cache`, whatever the environment says; a CLI run
+    without ``--synth-cache-dir`` / ``--no-synth-cache`` keeps it, and
+    worker processes of a multiprocess backend follow it call by call.
     """
     global _CONFIGURED
     _CONFIGURED = SynthesisCache(root, limit_mb=limit_mb) if root else None
     return _CONFIGURED
-
-
-@contextmanager
-def synth_cache_scope(root, limit_mb: Optional[float] = None) -> Iterator[Optional[SynthesisCache]]:
-    """:func:`configure_synth_cache` for one ``with`` block, then restore."""
-    global _CONFIGURED
-    previous = _CONFIGURED
-    try:
-        yield configure_synth_cache(root, limit_mb)
-    finally:
-        _CONFIGURED = previous
 
 
 def synth_cache_spec() -> Optional[Tuple[str, Optional[float]]]:

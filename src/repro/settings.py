@@ -31,7 +31,6 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -103,8 +102,13 @@ class RuntimeSettings:
     @classmethod
     def current(cls) -> "RuntimeSettings":
         """The settings a CLI run applied, else :meth:`from_env`."""
-        applied = _APPLIED.get()
+        applied = cls.in_run()
         return applied if applied is not None else cls.from_env()
+
+    @staticmethod
+    def in_run() -> Optional["RuntimeSettings"]:
+        """The settings of the CLI run in progress, ``None`` outside one."""
+        return _APPLIED.get()
 
     def override(self, **values) -> "RuntimeSettings":
         """A copy with every value that is not ``None`` replacing its field."""
@@ -126,7 +130,6 @@ _APPLIED: ContextVar[Optional[RuntimeSettings]] = ContextVar("repro_settings",
                                                              default=None)
 
 
-@lru_cache(maxsize=16)
 def _parse(raw: Tuple[Optional[str], ...]) -> RuntimeSettings:
     (trace_scale, backend, workers, cache_dir, cache_limit, retries, timeout,
      synth_dir, synth_limit, checkpoint, telemetry, fault_plan) = \

@@ -614,6 +614,7 @@ class TestCLIRetrySettings:
             SYNTH_CACHE_ENV,
             SYNTH_CACHE_LIMIT_ENV,
             active_synth_cache,
+            configure_synth_cache,
         )
         monkeypatch.delenv(RETRIES_ENV, raising=False)
         monkeypatch.delenv(TIMEOUT_ENV, raising=False)
@@ -672,6 +673,19 @@ class TestCLIRetrySettings:
             assert not env_dir.exists()
             run()
             assert where(synth_caches[-1]) == (env_dir, 64 * 1024 * 1024)
+
+            # A cache chosen in code holds for a run without synth flags,
+            # and a flag replaces it for its run only.
+            code_dir = tmp_path / "code-synth"
+            configured = configure_synth_cache(code_dir)
+            run()
+            assert synth_caches[-1] is configured
+            assert any(code_dir.glob("*/*/result.pkl"))
+            run("--synth-cache-dir", str(flag_dir))
+            assert where(synth_caches[-1]) == (flag_dir, 64 * 1024 * 1024)
+            run("--no-synth-cache")
+            assert synth_caches[-1] is None
+            assert active_synth_cache() is configured
 
             # A malformed budget is rejected, not dropped by the flag.
             monkeypatch.setenv(SYNTH_CACHE_LIMIT_ENV, "nan")

@@ -105,7 +105,7 @@ class TestResolution:
         with run.applied():
             assert RuntimeSettings.current() is run
             assert StudyConfig().backend == "multiprocess"
-            assert RetryPolicy.from_settings().max_attempts == 1
+            assert RetryPolicy.from_env().max_attempts == 1
             # explicit StudyConfig fields win over the run's settings
             assert StudyConfig(backend="serial").backend == "serial"
         assert RuntimeSettings.current() == RuntimeSettings.from_env()

@@ -18,7 +18,6 @@ from repro.runtime.synth_cache import (
     cacheable,
     configure_synth_cache,
     reset_synth_cache,
-    synth_cache_scope,
     synth_digest,
 )
 from repro.synth.flow import SynthesisOptions
@@ -164,17 +163,6 @@ class TestActivation:
         assert active_synth_cache() is None
         reset_synth_cache()  # the env decides again
         assert active_synth_cache().store.root == tmp_path / "from-env"
-
-    def test_scope_restores_the_previous_choice(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
-        outer = configure_synth_cache(tmp_path / "outer")
-        with synth_cache_scope(tmp_path / "inner", 2.0) as inner:
-            assert active_synth_cache() is inner
-            assert inner.spec == (str(tmp_path / "inner"), 2.0)
-        assert active_synth_cache() is outer
-        with synth_cache_scope(None):
-            assert active_synth_cache() is None
-        assert active_synth_cache() is outer
 
 
 class TestSynthesizeJobReadThrough:
